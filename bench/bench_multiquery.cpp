@@ -28,7 +28,8 @@
 #include "core/operators/sink.hpp"
 #include "core/operators/source.hpp"
 #include "core/runtime/multi_query.hpp"
-#include "core/swa/monoid_aggregate.hpp"
+#include "core/operators/aggregate.hpp"
+#include "core/swa/monoid_machine.hpp"
 
 namespace {
 
@@ -130,7 +131,8 @@ Timed run_shared(const std::vector<Element<int>>& script,
 Timed run_dedicated(const std::vector<Element<int>>& script, WindowSpec spec) {
   Flow flow;
   auto& src = flow.add<ScriptSource<int>>(script);
-  auto& op = flow.add<swa::MonoidAggregateOp<int, long, int, long>>(
+  auto& op = flow.add<
+      AggregateOp<int, long, int, swa::MonoidWindowMachine<int, long, int>>>(
       spec, [](const int& v) { return v % kKeys; }, sum(),
       [](const int&, const swa::WindowAggregate<long>& wa)
           -> std::optional<long> { return wa.agg; });

@@ -37,11 +37,9 @@
 #include "core/recovery/input_log.hpp"
 #include "core/recovery/replay_source.hpp"
 #include "core/runtime/spsc_queue.hpp"
-#include "core/swa/backends.hpp"
 #include "core/swa/batch_kernels.hpp"
 #include "core/swa/daba.hpp"
 #include "core/swa/finger_tree.hpp"
-#include "core/swa/monoid_aggregate.hpp"
 #include "core/swa/monoid_machine.hpp"
 #include "core/swa/two_stacks.hpp"
 
@@ -160,7 +158,8 @@ BENCHMARK(BM_FlowAggregate_Buffering);
 
 void BM_FlowAggregate_Monoid(benchmark::State& state) {
   run_flow(state, [](Flow& flow) -> auto& {
-    return flow.add<swa::MonoidAggregateOp<int, long, int, long>>(
+    return flow.add<
+        AggregateOp<int, long, int, swa::MonoidWindowMachine<int, long, int>>>(
         WindowSpec{.advance = kWA, .size = kWA * 32},
         [](const int& v) { return v % kKeys; },
         swa::Monoid<int, long>{0, [](const int& v) { return long{v}; },
@@ -552,7 +551,7 @@ BENCHMARK(BM_DurableRecovery);
 // both into BENCH_swa.json's async_checkpoint section (median of 5
 // repetitions, like the other tail sections).
 
-using StallMachine = swa::MonoidAggregateOp<int, long, int, long>::Machine;
+using StallMachine = swa::MonoidWindowMachine<int, long, int>;
 constexpr std::size_t kCutEvery = 16384;
 
 StallMachine make_stall_machine() {

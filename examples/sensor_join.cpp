@@ -20,7 +20,7 @@
 #include "core/operators/join_buffering.hpp"
 #include "core/operators/sink.hpp"
 #include "core/operators/source.hpp"
-#include "core/swa/backends.hpp"
+#include "core/swa/sliced_machine.hpp"
 #include "workloads/scans.hpp"
 
 using namespace aggspes;

@@ -14,102 +14,65 @@
 // emission is complete, as the eager join does).
 #pragma once
 
-#include <functional>
 #include <utility>
 #include <vector>
 
-#include "core/operators/operator_base.hpp"
-#include "core/operators/window_machine.hpp"
+#include "core/operators/aggregate.hpp"
 
 namespace aggspes {
 
-/// Backend: see AggregateOp — buffering WindowMachine by default,
-/// swa::SlicedWindowMachine via core/swa/backends.hpp.
+/// Machine: see AggregateOp — any window machine, buffering by default.
+/// Over a monoid machine f_I reads the instance's *running* aggregate.
 template <typename In, typename Out, typename Key,
-          typename Backend = WindowMachine<In, Key>>
-class AggregateEagerOp final : public UnaryNode<In, Out> {
+          typename Machine = WindowMachine<In, Key>>
+class AggregateEagerOp final
+    : public detail::WindowOpCore<In, Out, Key, Machine> {
+  using Core = detail::WindowOpCore<In, Out, Key, Machine>;
+  using Fired = typename Core::Fired;
+
  public:
-  using KeyFn = typename Backend::KeyFn;
+  using KeyFn = typename Core::KeyFn;
   /// f_I: the window view *includes* the just-arrived tuple as its last
   /// item; outputs are emitted immediately.
-  using IncFn = std::function<std::vector<Out>(const WindowView<In, Key>&)>;
+  using IncFn = typename Fired::template Fn<std::vector<Out>>;
   /// f_O: run on instance expiration, as in A+.
-  using FinalFn =
-      std::function<std::vector<Out>(const WindowView<In, Key>&)>;
+  using FinalFn = typename Fired::template Fn<std::vector<Out>>;
 
   AggregateEagerOp(WindowSpec spec, KeyFn f_k, IncFn f_i, FinalFn f_o,
                    int regular_inputs = 1)
-      : UnaryNode<In, Out>(regular_inputs, 0),
-        machine_(spec, std::move(f_k)),
+      : Core(regular_inputs, 0, /*flush_on_end=*/true, spec, std::move(f_k)),
         f_i_(std::move(f_i)),
-        f_o_(std::move(f_o)) {}
-
-  const Backend& machine() const { return machine_; }
-  Backend& machine() { return machine_; }
-
-  void snapshot_to(SnapshotWriter& w) const override {
-    this->save_base(w);
-    if constexpr (kSerializable) {
-      w.write_bool(true);
-      machine_.save(w);
-    } else {
-      w.write_bool(false);
-    }
+        f_o_(std::move(f_o)) {
+    bind();
   }
 
-  void restore_from(SnapshotReader& r) override {
-    this->load_base(r);
-    const bool has_state = r.read_bool();
-    if constexpr (kSerializable) {
-      if (has_state) machine_.load(r);
-    } else if (has_state) {
-      throw SnapshotError("AggregateEagerOp payload lacks a StateCodec");
-    }
-  }
-
- protected:
-  void on_tuple(int, const Tuple<In>& t) override {
-    machine_.add(
-        t, this->watermark(), fire_,
-        [this](Timestamp l, const Key& key,
-               const std::vector<Tuple<In>>& items) {
-          WindowView<In, Key> view{l, machine_.spec().size, key, items};
-          emit_all(l, items, f_i_(view));
-        });
-  }
-
-  void on_watermark(Timestamp w) override {
-    machine_.advance(w, fire_);
-    this->out_.push_watermark(w);
-  }
-
-  void on_end() override {
-    machine_.flush(fire_);
-    this->out_.push_end();
+  /// Monoid machines: the monoid follows f_K (see AggregateOp).
+  template <typename F = Fired>
+  AggregateEagerOp(WindowSpec spec, KeyFn f_k, typename F::Monoid m,
+                   IncFn f_i, FinalFn f_o, int regular_inputs = 1)
+      : Core(regular_inputs, 0, /*flush_on_end=*/true, spec, std::move(f_k),
+             std::move(m)),
+        f_i_(std::move(f_i)),
+        f_o_(std::move(f_o)) {
+    bind();
   }
 
  private:
-  void emit_all(Timestamp l, const std::vector<Tuple<In>>& items,
-                std::vector<Out> outs) {
-    const Timestamp ts = machine_.spec().output_ts(l);
-    const std::uint64_t stamp = max_stamp(items);
-    for (Out& o : outs) {
-      this->out_.push_tuple(Tuple<Out>{ts, stamp, std::move(o)});
-    }
+  void bind() {
+    this->fire_ = [this](Timestamp l, const Key& key,
+                         const typename Machine::Result& r, bool) {
+      this->emit(l, r,
+                 Fired::apply(f_o_, l, this->machine_.spec().size, key, r));
+    };
+    this->added_ = [this](Timestamp l, const Key& key,
+                          const typename Machine::Result& r) {
+      this->emit(l, r,
+                 Fired::apply(f_i_, l, this->machine_.spec().size, key, r));
+    };
   }
 
-  static constexpr bool kSerializable =
-      SnapshotSerializable<In> && SnapshotSerializable<Key>;
-
-  Backend machine_;
   IncFn f_i_;
   FinalFn f_o_;
-  typename Backend::FireFn fire_ =
-      [this](Timestamp l, const Key& key,
-             const std::vector<Tuple<In>>& items, bool) {
-        WindowView<In, Key> view{l, machine_.spec().size, key, items};
-        emit_all(l, items, f_o_(view));
-      };
 };
 
 }  // namespace aggspes

@@ -5,88 +5,54 @@
 // shows buys back most of the performance gap to Dedicated operators.
 #pragma once
 
-#include <functional>
 #include <utility>
 #include <vector>
 
-#include "core/operators/operator_base.hpp"
-#include "core/operators/window_machine.hpp"
+#include "core/operators/aggregate.hpp"
 
 namespace aggspes {
 
-/// Backend: see AggregateOp — buffering WindowMachine by default,
-/// swa::SlicedWindowMachine via core/swa/backends.hpp.
+/// Machine: see AggregateOp — any window machine, buffering by default.
 template <typename In, typename Out, typename Key,
-          typename Backend = WindowMachine<In, Key>>
-class AggregatePlusOp final : public UnaryNode<In, Out> {
+          typename Machine = WindowMachine<In, Key>>
+class AggregatePlusOp final
+    : public detail::WindowOpCore<In, Out, Key, Machine> {
+  using Core = detail::WindowOpCore<In, Out, Key, Machine>;
+  using Fired = typename Core::Fired;
+
  public:
-  using KeyFn = typename Backend::KeyFn;
+  using KeyFn = typename Core::KeyFn;
   /// f_O: returns any number of output payloads for the window instance.
-  using AggFn = std::function<std::vector<Out>(const WindowView<In, Key>&)>;
+  using AggFn = typename Fired::template Fn<std::vector<Out>>;
 
   AggregatePlusOp(WindowSpec spec, KeyFn f_k, AggFn f_o,
                   int regular_inputs = 1, int loop_inputs = 0)
-      : UnaryNode<In, Out>(regular_inputs, loop_inputs),
-        machine_(spec, std::move(f_k)),
-        f_o_(std::move(f_o)) {}
-
-  const Backend& machine() const { return machine_; }
-  Backend& machine() { return machine_; }
-
-  void snapshot_to(SnapshotWriter& w) const override {
-    this->save_base(w);
-    if constexpr (kSerializable) {
-      w.write_bool(true);
-      machine_.save(w);
-    } else {
-      w.write_bool(false);
-    }
+      : Core(regular_inputs, loop_inputs, /*flush_on_end=*/true, spec,
+             std::move(f_k)),
+        f_o_(std::move(f_o)) {
+    bind();
   }
 
-  void restore_from(SnapshotReader& r) override {
-    this->load_base(r);
-    const bool has_state = r.read_bool();
-    if constexpr (kSerializable) {
-      if (has_state) machine_.load(r);
-    } else if (has_state) {
-      throw SnapshotError("AggregatePlusOp payload lacks a StateCodec");
-    }
-  }
-
- protected:
-  void on_tuple(int, const Tuple<In>& t) override {
-    machine_.add(t, this->watermark(), fire_);
-  }
-
-  void on_watermark(Timestamp w) override {
-    machine_.advance(w, fire_);
-    this->out_.push_watermark(w);
-  }
-
-  void on_end() override {
-    machine_.flush(fire_);
-    this->out_.push_end();
+  /// Monoid machines: the monoid follows f_K (see AggregateOp).
+  template <typename F = Fired>
+  AggregatePlusOp(WindowSpec spec, KeyFn f_k, typename F::Monoid m,
+                  AggFn f_o, int regular_inputs = 1, int loop_inputs = 0)
+      : Core(regular_inputs, loop_inputs, /*flush_on_end=*/true, spec,
+             std::move(f_k), std::move(m)),
+        f_o_(std::move(f_o)) {
+    bind();
   }
 
  private:
-  void fire(Timestamp l, const Key& key,
-            const std::vector<Tuple<In>>& items) {
-    WindowView<In, Key> view{l, machine_.spec().size, key, items};
-    const Timestamp ts = machine_.spec().output_ts(l);
-    const std::uint64_t stamp = max_stamp(items);
-    for (Out& o : f_o_(view)) {
-      this->out_.push_tuple(Tuple<Out>{ts, stamp, std::move(o)});
-    }
+  void bind() {
+    this->fire_ = [this](Timestamp l, const Key& key,
+                         const typename Machine::Result& r, bool) {
+      this->emit(l, r,
+                 Fired::apply(f_o_, l, this->machine_.spec().size, key, r));
+    };
   }
 
-  static constexpr bool kSerializable =
-      SnapshotSerializable<In> && SnapshotSerializable<Key>;
-
-  Backend machine_;
   AggFn f_o_;
-  typename Backend::FireFn fire_ =
-      [this](Timestamp l, const Key& k, const std::vector<Tuple<In>>& items,
-             bool) { fire(l, k, items); };
 };
 
 }  // namespace aggspes

@@ -1,6 +1,8 @@
 // Shared windowing state machine used by Aggregate, Aggregate+ and the
 // dedicated Join: per-key, per-instance buckets with watermark-driven
-// firing, Dataflow allowed-lateness admission (§ 2.4) and purging.
+// firing, Dataflow allowed-lateness admission (§ 2.4) and purging. Also
+// home of FiredWindow, the contract by which A / A+ / A++ hand a fired
+// instance to their user functions (DESIGN.md § 9).
 #pragma once
 
 #include <cstdint>
@@ -33,9 +35,11 @@ struct WindowView {
 template <typename In, typename Key>
 class WindowMachine {
  public:
+  /// What a fire delivers: the instance's tuples in arrival order.
+  using Result = std::vector<Tuple<In>>;
   /// fire(l, key, items, is_late_update)
-  using FireFn = std::function<void(Timestamp, const Key&,
-                                    const std::vector<Tuple<In>>&, bool)>;
+  using FireFn =
+      std::function<void(Timestamp, const Key&, const Result&, bool)>;
   using KeyFn = std::function<Key(const In&)>;
 
   WindowMachine(WindowSpec spec, KeyFn key_fn)
@@ -46,8 +50,7 @@ class WindowMachine {
   /// added(l, key, items) — invoked right after a tuple lands in an
   /// instance (the hook behind eager/incremental Aggregates, § 6.2's
   /// "intermediate results" extension).
-  using AddedFn = std::function<void(Timestamp, const Key&,
-                                     const std::vector<Tuple<In>>&)>;
+  using AddedFn = std::function<void(Timestamp, const Key&, const Result&)>;
 
   /// Inserts `t` into every instance it falls in. `w` is the operator's
   /// current watermark. Instances already complete at `w` re-fire
@@ -244,5 +247,37 @@ std::uint64_t max_stamp(const std::vector<Tuple<In>>& items) {
   for (const auto& t : items) s = t.stamp > s ? t.stamp : s;
   return s;
 }
+
+/// How an Aggregate hands a fired window instance to its user functions,
+/// decided once per machine family by what the machine's fires deliver
+/// (`Machine::Result`):
+///   * Fn<R> — the type of f_O (and A++'s f_I) returning R;
+///   * apply(f, l, size, key, result) — f applied to the instance;
+///   * stamp(result) — the output's latency stamp;
+///   * kStateCodec — whether the fired state has a StateCodec;
+///   * Hub — the StateQuery hub a machine of this family can feed, or void.
+/// A machine whose Result has no specialization cannot back an Aggregate.
+/// The monoid family's specialization lives in core/swa/policy_base.hpp.
+template <typename In, typename Key, typename Result>
+struct FiredWindow;
+
+/// Tuple-holding machines (WindowMachine, swa::SlicedWindowMachine): f_O
+/// reads a WindowView, and an output carries the largest contributor stamp.
+template <typename In, typename Key>
+struct FiredWindow<In, Key, std::vector<Tuple<In>>> {
+  template <typename R>
+  using Fn = std::function<R(const WindowView<In, Key>&)>;
+  using Hub = void;  ///< tuple windows are not served to StateQuery readers
+  static constexpr bool kStateCodec = SnapshotSerializable<In>;
+
+  template <typename F>
+  static auto apply(const F& f, Timestamp l, Timestamp size, const Key& key,
+                    const std::vector<Tuple<In>>& items) {
+    return f(WindowView<In, Key>{l, size, key, items});
+  }
+  static std::uint64_t stamp(const std::vector<Tuple<In>>& items) {
+    return max_stamp(items);
+  }
+};
 
 }  // namespace aggspes

@@ -71,7 +71,7 @@ class SnapshotReader {
   explicit SnapshotReader(const Bytes& bytes) : bytes_(bytes) {}
 
   void read_raw(void* out, std::size_t n) {
-    if (pos_ + n > bytes_.size()) {
+    if (n > bytes_.size() - pos_) {  // pos_ + n could wrap around
       throw SnapshotError("truncated (want " + std::to_string(n) +
                           " bytes at offset " + std::to_string(pos_) + " of " +
                           std::to_string(bytes_.size()) + ")");
@@ -92,6 +92,18 @@ class SnapshotReader {
   std::int64_t read_i64() { return read_pod<std::int64_t>(); }
   bool read_bool() { return read_pod<std::uint8_t>() != 0; }
   std::size_t read_size() { return static_cast<std::size_t>(read_u64()); }
+
+  /// Reads an element count for a codec whose every element takes at
+  /// least one byte, rejecting a count the remaining bytes cannot hold
+  /// before the caller allocates for it.
+  std::size_t read_count() {
+    const std::size_t n = read_size();
+    if (n > remaining()) {
+      throw SnapshotError("count " + std::to_string(n) + " exceeds the " +
+                          std::to_string(remaining()) + " bytes left");
+    }
+    return n;
+  }
 
   bool exhausted() const { return pos_ == bytes_.size(); }
   std::size_t remaining() const { return bytes_.size() - pos_; }
@@ -142,7 +154,7 @@ struct StateCodec<std::string> {
     w.write_raw(v.data(), v.size());
   }
   static std::string read(SnapshotReader& r) {
-    std::string v(r.read_size(), '\0');
+    std::string v(r.read_count(), '\0');
     r.read_raw(v.data(), v.size());
     return v;
   }
@@ -151,7 +163,9 @@ struct StateCodec<std::string> {
 // The composite codecs below are constrained on their element types being
 // serializable themselves: without the constraints the specialization
 // would *declare* write/read for any element type (making the concept a
-// shallow check) and then fail at instantiation depth.
+// shallow check) and then fail at instantiation depth. Every codec writes
+// at least one byte per value, which is what lets read_count() bound a
+// decoded element count by the bytes left.
 template <typename T>
   requires SnapshotSerializable<T>
 struct StateCodec<std::vector<T>> {
@@ -161,7 +175,7 @@ struct StateCodec<std::vector<T>> {
   }
   static std::vector<T> read(SnapshotReader& r) {
     std::vector<T> v;
-    const std::size_t n = r.read_size();
+    const std::size_t n = r.read_count();
     v.reserve(n);
     for (std::size_t i = 0; i < n; ++i) v.push_back(read_value<T>(r));
     return v;

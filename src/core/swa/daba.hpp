@@ -216,7 +216,8 @@ template <typename In, typename Agg, typename Key>
 using DabaPolicy =
     FifoMonoidPolicy<In, Agg, Key, DabaLite<WindowAggregate<Agg>>>;
 
-/// Selectable as WindowBackend::kMonoidDaba wherever a monoid applies.
+/// Backs A / A+ / A++ wherever f_O is a monoid (Aggregate's Machine
+/// parameter).
 template <typename In, typename Agg, typename Key>
 using DabaWindowMachine = SlicedEngine<In, Key, DabaPolicy<In, Agg, Key>>;
 

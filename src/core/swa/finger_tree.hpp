@@ -226,8 +226,9 @@ class FingerTreePolicy : public MonoidPolicyCore<In, Agg, Key> {
   using Cell = typename Base::Cell;
   using Result = typename Base::Result;
 
-  explicit FingerTreePolicy(Monoid<In, Agg> m,
-                            std::size_t max_cached_keys = 0)
+  /// Implicit from a monoid, like the FIFO policies: how an Aggregate's
+  /// monoid reaches its machine.
+  FingerTreePolicy(Monoid<In, Agg> m, std::size_t max_cached_keys = 0)
       : Base(std::move(m)) {
     cache_.set_max(max_cached_keys);
   }
@@ -311,7 +312,8 @@ class FingerTreePolicy : public MonoidPolicyCore<In, Agg, Key> {
   std::uint64_t ooo_fixups_{0};
 };
 
-/// Selectable as WindowBackend::kFingerTree wherever a monoid applies.
+/// Backs A / A+ / A++ wherever f_O is a monoid (Aggregate's Machine
+/// parameter).
 template <typename In, typename Agg, typename Key>
 using FingerTreeWindowMachine =
     SlicedEngine<In, Key, FingerTreePolicy<In, Agg, Key>>;

@@ -20,6 +20,8 @@
 //     ranges slid by evict/push, with the PR-2 out-of-order rule (a
 //     mutation under any built cache bumps a global version; caches
 //     lazily rebuild).
+//   * FiredWindow for WindowAggregate results — what A / A+ / A++ hand
+//     their user functions when a monoid machine fires.
 #pragma once
 
 #include <algorithm>
@@ -28,7 +30,9 @@
 #include <unordered_map>
 #include <utility>
 
+#include "core/operators/window_machine.hpp"
 #include "core/recovery/snapshot.hpp"
+#include "core/runtime/state_query.hpp"
 #include "core/swa/batch_kernels.hpp"
 #include "core/swa/monoid.hpp"
 #include "core/swa/pane.hpp"
@@ -221,7 +225,9 @@ class FifoMonoidPolicy : public MonoidPolicyCore<In, Agg, Key> {
   using Cell = typename Base::Cell;
   using Result = typename Base::Result;
 
-  explicit FifoMonoidPolicy(Monoid<In, Agg> m, std::size_t max_cached_keys = 0)
+  /// Implicit from a monoid: how an Aggregate's monoid reaches its machine
+  /// (SlicedEngine takes the policy by value).
+  FifoMonoidPolicy(Monoid<In, Agg> m, std::size_t max_cached_keys = 0)
       : Base(std::move(m)) {
     cache_.set_max(max_cached_keys);
   }
@@ -308,3 +314,31 @@ class FifoMonoidPolicy : public MonoidPolicyCore<In, Agg, Key> {
 };
 
 }  // namespace aggspes::swa
+
+namespace aggspes {
+
+/// Monoid machines (SlicedEngine under MonoidPolicy, DabaPolicy or
+/// FingerTreePolicy): f_O reads the key and the instance's WindowAggregate,
+/// an output carries the aggregate's stamp, the monoid reaches the
+/// machine's policy through the Aggregate constructors that take one, and
+/// frozen epochs can feed a StateQueryHub.
+template <typename In, typename Key, typename Agg>
+struct FiredWindow<In, Key, swa::WindowAggregate<Agg>> {
+  template <typename R>
+  using Fn =
+      std::function<R(const Key&, const swa::WindowAggregate<Agg>&)>;
+  using Monoid = swa::Monoid<In, Agg>;
+  using Hub = StateQueryHub<Key, Agg>;
+  static constexpr bool kStateCodec = SnapshotSerializable<Agg>;
+
+  template <typename F>
+  static auto apply(const F& f, Timestamp, Timestamp, const Key& key,
+                    const swa::WindowAggregate<Agg>& wa) {
+    return f(key, wa);
+  }
+  static std::uint64_t stamp(const swa::WindowAggregate<Agg>& wa) {
+    return wa.stamp;
+  }
+};
+
+}  // namespace aggspes

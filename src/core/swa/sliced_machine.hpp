@@ -332,10 +332,18 @@ class SlicedEngine {
   }
   const LateProbe& late_probe() const { return late_probe_; }
 
-  /// Serializes pane cells, fired flags, cursors and counters. Policy
-  /// caches (e.g. two-stacks) are rebuilt after load, never persisted —
-  /// a snapshot cannot resurrect a stale cached aggregate.
+  /// Policies with a bounded per-key cache (the monoid family) persist
+  /// the bound with the state, so a restored machine keeps its memory knob.
+  static constexpr bool kCacheBound = requires(Policy& p) {
+    p.set_max_cached_keys(p.max_cached_keys());
+  };
+
+  /// Serializes the policy's cache bound (when it has one), pane cells,
+  /// fired flags, cursors and counters. Policy caches (e.g. two-stacks)
+  /// are rebuilt after load, never persisted — a snapshot cannot
+  /// resurrect a stale cached aggregate.
   void save(SnapshotWriter& w) const {
+    if constexpr (kCacheBound) w.write_u64(policy_.max_cached_keys());
     w.write_size(panes_.size());
     for (const auto& [p, cells] : panes_) {
       w.write_i64(p);
@@ -364,6 +372,7 @@ class SlicedEngine {
   }
 
   void load(SnapshotReader& r) {
+    if constexpr (kCacheBound) policy_.set_max_cached_keys(r.read_u64());
     panes_.clear();
     fired_.clear();
     occupancy_ = 0;
@@ -422,6 +431,7 @@ class SlicedEngine {
     std::uint64_t dropped_late{0};
     std::uint64_t late_updates{0};
     std::uint64_t fired_instances{0};
+    std::uint64_t max_cached_keys{0};  ///< the cache bound, if kCacheBound
     WindowSpec spec{};
     PaneGeometry geom{};
     const Policy* policy{nullptr};
@@ -429,6 +439,7 @@ class SlicedEngine {
     std::uint64_t epoch{0};
 
     void serialize(SnapshotWriter& w) const {
+      if constexpr (kCacheBound) w.write_u64(max_cached_keys);
       w.write_size(panes.size());
       for (const auto& [p, cells] : panes) {
         w.write_i64(p);
@@ -487,6 +498,7 @@ class SlicedEngine {
     f.dropped_late = dropped_late_;
     f.late_updates = late_updates_;
     f.fired_instances = fired_instances_;
+    if constexpr (kCacheBound) f.max_cached_keys = policy_.max_cached_keys();
     f.spec = spec_;
     f.geom = geom_;
     f.policy = &policy_;
@@ -757,7 +769,7 @@ class ReplayPolicy {
 
 /// Drop-in WindowMachine replacement: same constructor shape, same FireFn
 /// and AddedFn signatures, single-copy pane storage. Select it per
-/// operator via the Backend template parameter of Aggregate/A+/A++.
+/// operator via the Machine template parameter of Aggregate/A+/A++.
 template <typename In, typename Key>
 using SlicedWindowMachine = SlicedEngine<In, Key, ReplayPolicy<In>>;
 

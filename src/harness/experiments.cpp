@@ -81,18 +81,12 @@ template <typename In, typename Out>
 ProbeResult probe_fm(Impl impl, WindowBackend b,
                      std::function<In(std::uint64_t)> gen,
                      FlatMapFn<In, Out> f_fm) {
-  switch (b) {
-    case WindowBackend::kBuffering:
-      return probe_fm_t<In, Out, WindowMachine>(impl, std::move(gen),
-                                                std::move(f_fm));
-    case WindowBackend::kSlicedReplay:
-      return probe_fm_t<In, Out, swa::SlicedWindowMachine>(
-          impl, std::move(gen), std::move(f_fm));
-    case WindowBackend::kMonoid:
-      break;
+  if (b == WindowBackend::kSlicedReplay) {
+    return probe_fm_t<In, Out, swa::SlicedWindowMachine>(
+        impl, std::move(gen), std::move(f_fm));
   }
-  throw std::invalid_argument(
-      "FM probes cannot run under the monoid backend");
+  return probe_fm_t<In, Out, WindowMachine>(impl, std::move(gen),
+                                            std::move(f_fm));
 }
 
 template <typename L, typename R, typename Key,
@@ -159,28 +153,14 @@ ProbeResult probe_join(Impl impl, WindowBackend b,
                        WindowSpec spec, std::function<Key(const L&)> f_k1,
                        std::function<Key(const R&)> f_k2,
                        std::function<bool(const L&, const R&)> f_p) {
-  switch (b) {
-    case WindowBackend::kBuffering:
-      return probe_join_t<L, R, Key, WindowMachine, BufferingJoinOp>(
-          impl, std::move(gen_l), std::move(gen_r), spec, std::move(f_k1),
-          std::move(f_k2), std::move(f_p));
-    case WindowBackend::kSlicedReplay:
-      return probe_join_t<L, R, Key, swa::SlicedWindowMachine, JoinOp>(
-          impl, std::move(gen_l), std::move(gen_r), spec, std::move(f_k1),
-          std::move(f_k2), std::move(f_p));
-    case WindowBackend::kMonoid:
-      break;
+  if (b == WindowBackend::kSlicedReplay) {
+    return probe_join_t<L, R, Key, swa::SlicedWindowMachine, JoinOp>(
+        impl, std::move(gen_l), std::move(gen_r), spec, std::move(f_k1),
+        std::move(f_k2), std::move(f_p));
   }
-  throw std::invalid_argument(
-      "J probes cannot run under the monoid backend");
-}
-
-const char* fm_monoid_reason() {
-  return "f_FM is an arbitrary user function, not a monoid";
-}
-const char* join_monoid_reason() {
-  return "the cartesian match f_P needs the window's tuples, not a "
-         "monoid partial";
+  return probe_join_t<L, R, Key, WindowMachine, BufferingJoinOp>(
+      impl, std::move(gen_l), std::move(gen_r), spec, std::move(f_k1),
+      std::move(f_k2), std::move(f_p));
 }
 
 std::vector<WindowBackend> ab_backends() {
@@ -362,7 +342,6 @@ Experiment make_wiki_fm(std::string id, std::string sel, std::string cost,
   e.notes = std::move(notes);
   e.rate_ladder = std::move(ladder);
   e.backends = ab_backends();
-  e.monoid_skip_reason = fm_monoid_reason();
   e.run = [id](Impl impl, const RunConfig& cfg) {
     return run_fm<WikiEdit, std::string>(impl, cfg, wiki_gen(cfg.seed),
                                          wiki_fm(id));
@@ -398,7 +377,6 @@ Experiment make_wiki_join(std::string id, std::string sel, std::string cost,
   e.rate_ladder = std::move(ladder);
   const WindowSpec spec{.advance = 1000, .size = ws_ms};  // WA = 1 s
   e.backends = ab_backends();
-  e.monoid_skip_reason = join_monoid_reason();
   e.run = [min_len, spec](Impl impl, const RunConfig& cfg) {
     RunConfig jc = cfg.keep_timing ? cfg : join_config(cfg);
     return run_join<WikiEdit, WikiEdit, int>(
@@ -443,7 +421,6 @@ Experiment make_scan_fm(std::string id, std::string sel, std::string cost,
   e.notes = std::move(notes);
   e.rate_ladder = std::move(ladder);
   e.backends = ab_backends();
-  e.monoid_skip_reason = fm_monoid_reason();
   e.run = [id](Impl impl, const RunConfig& cfg) {
     return run_fm<Scan2D, CartesianScan>(impl, cfg, scan_gen(cfg.seed),
                                          scan_fm(id));
@@ -479,7 +456,6 @@ Experiment make_scan_join(std::string id, std::string sel, std::string cost,
   e.rate_ladder = std::move(ladder);
   const WindowSpec spec{.advance = 500, .size = ws_ms};  // WA = 0.5 s
   e.backends = ab_backends();
-  e.monoid_skip_reason = join_monoid_reason();
   e.run = [max_diff, spec](Impl impl, const RunConfig& cfg) {
     RunConfig jc = cfg.keep_timing ? cfg : join_config(cfg);
     return run_join<Scan2D, Scan2D, int>(

@@ -33,27 +33,11 @@ struct Experiment {
   std::string notes;              ///< Table 1's description
   std::vector<double> rate_ladder;  ///< injection rates probed (t/s)
 
-  /// Window backends this experiment can legally run under (cfg.backend).
-  /// The monoid family (kMonoid, kMonoidDaba, kFingerTree) never
-  /// qualifies for Table 1 — f_FM is arbitrary and the join match needs
-  /// the window's tuples — so `monoid_skip_reason` says why; the reason
-  /// is about f_O's shape, not the structure holding partials, so it
-  /// covers all three. Use skip_reason() to query a specific backend.
+  /// Window backends this experiment can run under (cfg.backend).
   std::vector<WindowBackend> backends;
-  std::string monoid_skip_reason;
-
-  /// Why backend `b` is absent from `backends` for this experiment;
-  /// empty when `b` is legal here.
-  std::string skip_reason(WindowBackend b) const {
-    for (WindowBackend x : backends) {
-      if (x == b) return {};
-    }
-    if (is_monoid_family(b)) return monoid_skip_reason;
-    return std::string(backend_name(b)) + " is not registered for " + id;
-  }
 
   /// Builds the pipeline for `impl` and runs it at cfg.rate (honouring
-  /// cfg.backend; throws std::invalid_argument for illegal backends).
+  /// cfg.backend).
   std::function<RunResult(Impl, const RunConfig&)> run;
 
   /// Deterministic single-threaded replay of a fixed input sample through

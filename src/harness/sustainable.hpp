@@ -30,7 +30,7 @@
 #include "core/runtime/rate_source.hpp"
 #include "core/runtime/sharded/sharded_flow.hpp"
 #include "core/runtime/threaded_runtime.hpp"
-#include "core/swa/backends.hpp"
+#include "core/swa/sliced_machine.hpp"
 
 namespace aggspes::harness {
 
@@ -65,46 +65,21 @@ inline const std::vector<Impl>& all_impls() {
 /// The window-state backend axis (DESIGN.md § 9, § 11), orthogonal to
 /// Impl: kBuffering copies each tuple into every overlapping instance
 /// (WindowMachine / BufferingJoinOp); kSlicedReplay stores each tuple once
-/// in its gcd(WA, WS) pane (SlicedWindowMachine / pane-backed JoinOp); the
-/// monoid family keeps per-pane partial aggregates — kMonoid answers fires
-/// from per-key two-stacks (amortized O(1)), kMonoidDaba from a DABA-style
-/// FIFO (worst-case O(1), no flip spike), kFingerTree from a balanced
-/// aggregation tree (out-of-order absorbs without invalidation). The
-/// monoid family only applies where f_O admits a monoid — none of the
-/// Table-1 experiments do, so runners throw std::invalid_argument for
-/// them (the registry records the per-backend reason).
+/// in its gcd(WA, WS) pane (SlicedWindowMachine / pane-backed JoinOp). The
+/// monoid machines are not harness backends: no Table-1 f_O is a monoid
+/// (f_FM is arbitrary, the join match needs the window's tuples); they
+/// stay reachable through the Aggregate operators' Machine parameter.
 enum class WindowBackend {
   kBuffering,
   kSlicedReplay,
-  kMonoid,
-  kMonoidDaba,
-  kFingerTree,
 };
 
 inline const char* backend_name(WindowBackend b) {
   switch (b) {
     case WindowBackend::kBuffering: return "buffering";
     case WindowBackend::kSlicedReplay: return "sliced-replay";
-    case WindowBackend::kMonoid: return "monoid";
-    case WindowBackend::kMonoidDaba: return "monoid-daba";
-    case WindowBackend::kFingerTree: return "finger-tree";
   }
   return "?";
-}
-
-/// True for the backends that require f_O to be a monoid (illegal for the
-/// Table-1 workloads; see run_fm / run_join).
-inline bool is_monoid_family(WindowBackend b) {
-  return b == WindowBackend::kMonoid || b == WindowBackend::kMonoidDaba ||
-         b == WindowBackend::kFingerTree;
-}
-
-inline const std::vector<WindowBackend>& all_backends() {
-  static const std::vector<WindowBackend> v{
-      WindowBackend::kBuffering, WindowBackend::kSlicedReplay,
-      WindowBackend::kMonoid, WindowBackend::kMonoidDaba,
-      WindowBackend::kFingerTree};
-  return v;
 }
 
 /// Durable-ingestion knobs (DESIGN.md § 12): when enabled, every source
@@ -163,7 +138,7 @@ struct RunConfig {
   /// (per-element transfer, byte-identical to the pre-batch harness).
   /// Purely a runtime knob: it never changes outputs or state formats
   /// (the batch differential suite pins that), so no snapshot codec
-  /// version moves with it — kMonoidAggCodecVersion stays at 2.
+  /// version moves with it.
   std::size_t batch_block{kElementBlockCapacity};
   /// Shed at the Embed operator instead of source admission (DESIGN.md
   /// § 10 rider): with shed.policy != kNone, the Shedder gates the embed
@@ -626,29 +601,17 @@ RunResult run_fm_t(Impl impl, const RunConfig& cfg,
   return r;
 }
 
-/// Builds and runs one FM experiment, dispatching on cfg.backend. The
-/// monoid family throws: FM's f_FM is an arbitrary user function, not a
-/// monoid, whichever structure would hold the partials.
+/// Builds and runs one FM experiment, dispatching on cfg.backend.
 template <typename In, typename Out>
 RunResult run_fm(Impl impl, const RunConfig& cfg,
                  std::function<In(std::uint64_t)> gen,
                  FlatMapFn<In, Out> f_fm) {
-  switch (cfg.backend) {
-    case WindowBackend::kBuffering:
-      return run_fm_t<In, Out, WindowMachine>(impl, cfg, std::move(gen),
-                                              std::move(f_fm));
-    case WindowBackend::kSlicedReplay:
-      return run_fm_t<In, Out, swa::SlicedWindowMachine>(
-          impl, cfg, std::move(gen), std::move(f_fm));
-    case WindowBackend::kMonoid:
-    case WindowBackend::kMonoidDaba:
-    case WindowBackend::kFingerTree:
-      break;
+  if (cfg.backend == WindowBackend::kSlicedReplay) {
+    return run_fm_t<In, Out, swa::SlicedWindowMachine>(
+        impl, cfg, std::move(gen), std::move(f_fm));
   }
-  throw std::invalid_argument(
-      std::string("FM cannot run under the ") +
-      backend_name(cfg.backend) +
-      " backend: f_FM is an arbitrary user function, not a monoid");
+  return run_fm_t<In, Out, WindowMachine>(impl, cfg, std::move(gen),
+                                          std::move(f_fm));
 }
 
 /// Builds and runs one J experiment (D / A / A+) at cfg.rate, split evenly
@@ -787,9 +750,7 @@ RunResult run_join_t(Impl impl, const RunConfig& cfg,
   return r;
 }
 
-/// Builds and runs one J experiment, dispatching on cfg.backend. The
-/// monoid family throws: the cartesian match consumes the window's tuples
-/// themselves, which a monoid partial cannot provide.
+/// Builds and runs one J experiment, dispatching on cfg.backend.
 template <typename L, typename R, typename Key>
 RunResult run_join(Impl impl, const RunConfig& cfg,
                    std::function<L(std::uint64_t)> gen_l,
@@ -797,24 +758,14 @@ RunResult run_join(Impl impl, const RunConfig& cfg,
                    std::function<Key(const L&)> f_k1,
                    std::function<Key(const R&)> f_k2,
                    std::function<bool(const L&, const R&)> f_p) {
-  switch (cfg.backend) {
-    case WindowBackend::kBuffering:
-      return run_join_t<L, R, Key, WindowMachine, BufferingJoinOp>(
-          impl, cfg, std::move(gen_l), std::move(gen_r), spec,
-          std::move(f_k1), std::move(f_k2), std::move(f_p));
-    case WindowBackend::kSlicedReplay:
-      return run_join_t<L, R, Key, swa::SlicedWindowMachine, JoinOp>(
-          impl, cfg, std::move(gen_l), std::move(gen_r), spec,
-          std::move(f_k1), std::move(f_k2), std::move(f_p));
-    case WindowBackend::kMonoid:
-    case WindowBackend::kMonoidDaba:
-    case WindowBackend::kFingerTree:
-      break;
+  if (cfg.backend == WindowBackend::kSlicedReplay) {
+    return run_join_t<L, R, Key, swa::SlicedWindowMachine, JoinOp>(
+        impl, cfg, std::move(gen_l), std::move(gen_r), spec,
+        std::move(f_k1), std::move(f_k2), std::move(f_p));
   }
-  throw std::invalid_argument(
-      std::string("J cannot run under the ") + backend_name(cfg.backend) +
-      " backend: the cartesian match f_P needs the window's tuples, not "
-      "a monoid partial");
+  return run_join_t<L, R, Key, WindowMachine, BufferingJoinOp>(
+      impl, cfg, std::move(gen_l), std::move(gen_r), spec, std::move(f_k1),
+      std::move(f_k2), std::move(f_p));
 }
 
 }  // namespace aggspes::harness

@@ -1,14 +1,14 @@
 // Five-backend equivalence under adversarial reordering (`ctest -L
-// backend`): buffering, sliced-replay, monoid (two-stacks), monoid-daba
-// and finger-tree must emit byte-identical (ts, value) streams with
-// identical lateness bookkeeping from the same seeded reorder-injected
-// script — including runs restored from a mid-stream snapshot, and
-// snapshots ported across the monoid-family policies (they share one
-// machine codec; caches are rebuilt, never persisted).
+// backend`): A, A+ and A++ over buffering, sliced-replay, monoid
+// (two-stacks), monoid-daba and finger-tree machines must emit
+// byte-identical (ts, value) streams with identical lateness bookkeeping
+// from the same seeded reorder-injected script — including runs restored
+// from a mid-stream snapshot, and snapshots ported across the
+// monoid-family policies (they share one machine codec; caches are
+// rebuilt, never persisted).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <optional>
 #include <random>
 #include <set>
 #include <string>
@@ -17,11 +17,9 @@
 #include <vector>
 
 #include "core/graph.hpp"
-#include "core/operators/aggregate.hpp"
 #include "core/operators/sink.hpp"
 #include "core/operators/source.hpp"
-#include "core/swa/backends.hpp"
-#include "core/swa/monoid_aggregate.hpp"
+#include "machine_matrix.hpp"
 
 namespace aggspes {
 namespace {
@@ -88,29 +86,27 @@ swa::Monoid<int, long> long_sum() {
 
 int key_of(const int& v) { return v % 3; }
 
-/// Factories for the five backends, all computing the same keyed sum.
-template <typename AggT>
-AggT& add_view_sum(Flow& f, WindowSpec spec) {
-  return f.add<AggT>(spec, key_of,
-                     [](const WindowView<int, int>& w) -> std::optional<long> {
-                       long s = 0;
-                       for (const auto& t : w.items) s += t.value;
-                       return s;
-                     });
+/// A: the keyed sum; A+: sum and count; A++: the running count on every
+/// arrival, then the sum on expiration (machine_matrix.hpp), over long.
+template <typename M>
+auto& add_sum(Flow& f, WindowSpec spec) {
+  return machine_matrix::add_sum<long, M>(f, spec, key_of);
+}
+template <typename M>
+auto& add_sum_count(Flow& f, WindowSpec spec) {
+  return machine_matrix::add_sum_count<long, M>(f, spec, key_of);
+}
+template <typename M>
+auto& add_eager(Flow& f, WindowSpec spec) {
+  return machine_matrix::add_eager<long, M>(f, spec, key_of);
 }
 
-template <typename OpT>
-OpT& add_monoid_sum(Flow& f, WindowSpec spec) {
-  return f.add<OpT>(spec, key_of, long_sum(),
-                    [](const int&, const swa::WindowAggregate<long>& wa)
-                        -> std::optional<long> { return wa.agg; });
-}
+using machine_matrix::for_each_machine;
 
-using BufferingSum = AggregateOp<int, long, int>;
-using SlicedSum = swa::SlicedAggregateOp<int, long, int>;
-using MonoidSum = swa::MonoidAggregateOp<int, long, int, long>;
-using DabaSum = swa::DabaAggregateOp<int, long, int, long>;
-using FingerSum = swa::FingerTreeAggregateOp<int, long, int, long>;
+using Buffering = WindowMachine<int, int>;
+using MonoidMachine = swa::MonoidWindowMachine<int, long, int>;
+using DabaMachine = swa::DabaWindowMachine<int, long, int>;
+using FingerMachine = swa::FingerTreeWindowMachine<int, long, int>;
 
 template <typename AddOp>
 Res run_backend(const std::vector<Element<int>>& script, AddOp add_op) {
@@ -145,28 +141,41 @@ TEST(BackendEquivalence, FiveBackendsIdenticalUnderSeededReorder) {
       const std::string trace =
           "spec " + std::to_string(si) + " seed " + std::to_string(seed);
 
-      const Res buffering = run_backend(script, [&](Flow& f) -> BufferingSum& {
-        return add_view_sum<BufferingSum>(f, spec);
+      const Res a = run_backend(script, [&](Flow& f) -> auto& {
+        return add_sum<Buffering>(f, spec);
       });
-      ASSERT_GT(buffering.out.size(), 0u) << trace;
-      const Res sliced = run_backend(script, [&](Flow& f) -> SlicedSum& {
-        return add_view_sum<SlicedSum>(f, spec);
+      const Res aplus = run_backend(script, [&](Flow& f) -> auto& {
+        return add_sum_count<Buffering>(f, spec);
       });
-      const Res monoid = run_backend(script, [&](Flow& f) -> MonoidSum& {
-        return add_monoid_sum<MonoidSum>(f, spec);
+      const Res eager = run_backend(script, [&](Flow& f) -> auto& {
+        return add_eager<Buffering>(f, spec);
       });
-      const Res daba = run_backend(script, [&](Flow& f) -> DabaSum& {
-        return add_monoid_sum<DabaSum>(f, spec);
-      });
-      const Res finger = run_backend(script, [&](Flow& f) -> FingerSum& {
-        return add_monoid_sum<FingerSum>(f, spec);
-      });
+      ASSERT_GT(a.out.size(), 0u) << trace;
+      ASSERT_GT(eager.out.size(), a.out.size()) << trace;
 
-      for (const Res* r : {&sliced, &monoid, &daba, &finger}) {
-        EXPECT_EQ(r->out, buffering.out) << trace;
-        EXPECT_EQ(r->dropped, buffering.dropped) << trace;
-        EXPECT_EQ(r->late_updates, buffering.late_updates) << trace;
-      }
+      for_each_machine<long>([&]<typename M>(const char* name) {
+        auto check = [&](const Res& got, const Res& want, const char* op) {
+          const std::string at = trace + " " + name + " " + op;
+          EXPECT_EQ(got.out, want.out) << at;
+          EXPECT_EQ(got.dropped, want.dropped) << at;
+          EXPECT_EQ(got.late_updates, want.late_updates) << at;
+        };
+        check(run_backend(script,
+                          [&](Flow& f) -> auto& {
+                            return add_sum<M>(f, spec);
+                          }),
+              a, "A");
+        check(run_backend(script,
+                          [&](Flow& f) -> auto& {
+                            return add_sum_count<M>(f, spec);
+                          }),
+              aplus, "A+");
+        check(run_backend(script,
+                          [&](Flow& f) -> auto& {
+                            return add_eager<M>(f, spec);
+                          }),
+              eager, "A++");
+      });
     }
   }
 }
@@ -179,16 +188,16 @@ TEST(BackendEquivalence, BoundedKeyCachesDoNotChangeOutput) {
   const Timestamp flush = tuples.back().ts + 40;
   auto script = reorder_script(std::move(tuples), 8, 6, flush, 77);
 
-  const Res reference = run_backend(script, [&](Flow& f) -> BufferingSum& {
-    return add_view_sum<BufferingSum>(f, spec);
+  const Res reference = run_backend(script, [&](Flow& f) -> auto& {
+    return add_sum<Buffering>(f, spec);
   });
-  const Res daba = run_backend(script, [&](Flow& f) -> DabaSum& {
-    auto& op = add_monoid_sum<DabaSum>(f, spec);
+  const Res daba = run_backend(script, [&](Flow& f) -> auto& {
+    auto& op = add_sum<DabaMachine>(f, spec);
     op.machine().policy().set_max_cached_keys(1);  // constant churn
     return op;
   });
-  const Res finger = run_backend(script, [&](Flow& f) -> FingerSum& {
-    auto& op = add_monoid_sum<FingerSum>(f, spec);
+  const Res finger = run_backend(script, [&](Flow& f) -> auto& {
+    auto& op = add_sum<FingerMachine>(f, spec);
     op.machine().policy().set_max_cached_keys(1);
     return op;
   });
@@ -205,8 +214,8 @@ TEST(BackendEquivalence, RestoredRunsMatchUninterrupted) {
   const Timestamp flush = tuples.back().ts + 30;
   const auto script = reorder_script(std::move(tuples), 6, 5, flush, 5);
 
-  const Res reference = run_backend(script, [&](Flow& f) -> BufferingSum& {
-    return add_view_sum<BufferingSum>(f, spec);
+  const Res reference = run_backend(script, [&](Flow& f) -> auto& {
+    return add_sum<Buffering>(f, spec);
   });
   ASSERT_GT(reference.out.size(), 0u);
 
@@ -242,14 +251,14 @@ TEST(BackendEquivalence, RestoredRunsMatchUninterrupted) {
     return b_sink.multiset();
   };
 
-  auto mk_daba = [&](Flow& f) -> DabaSum& {
-    return add_monoid_sum<DabaSum>(f, spec);
+  auto mk_daba = [&](Flow& f) -> auto& {
+    return add_sum<DabaMachine>(f, spec);
   };
-  auto mk_finger = [&](Flow& f) -> FingerSum& {
-    return add_monoid_sum<FingerSum>(f, spec);
+  auto mk_finger = [&](Flow& f) -> auto& {
+    return add_sum<FingerMachine>(f, spec);
   };
-  auto mk_monoid = [&](Flow& f) -> MonoidSum& {
-    return add_monoid_sum<MonoidSum>(f, spec);
+  auto mk_monoid = [&](Flow& f) -> auto& {
+    return add_sum<MonoidMachine>(f, spec);
   };
 
   for (std::size_t cut : {std::size_t{3}, std::size_t{41}, script.size() - 2}) {
@@ -263,18 +272,19 @@ TEST(BackendEquivalence, RestoredRunsMatchUninterrupted) {
   }
 }
 
-/// The snapshot knob: max_cached_keys survives the round trip (codec v2).
+/// The snapshot knob: max_cached_keys survives the round trip (the
+/// machine writes it inside its own save()).
 TEST(BackendEquivalence, SnapshotPersistsKeyCacheBound) {
   const WindowSpec spec{.advance = 2, .size = 6, .lateness = 0};
   Flow a;
-  auto& agg = add_monoid_sum<DabaSum>(a, spec);
+  auto& agg = add_sum<DabaMachine>(a, spec);
   agg.machine().policy().set_max_cached_keys(3);
   SnapshotWriter w;
   agg.snapshot_to(w);
   const auto bytes = w.take();
 
   Flow b;
-  auto& agg2 = add_monoid_sum<DabaSum>(b, spec);
+  auto& agg2 = add_sum<DabaMachine>(b, spec);
   EXPECT_EQ(agg2.machine().policy().max_cached_keys(), 0u);
   SnapshotReader r(bytes);
   agg2.restore_from(r);

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "core/runtime/overload.hpp"
-#include "core/swa/backends.hpp"
 #include "core/swa/batch_kernels.hpp"
 #include "core/swa/daba.hpp"
 #include "core/swa/finger_tree.hpp"

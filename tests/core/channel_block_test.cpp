@@ -1,18 +1,19 @@
 // End-to-end checks of the micro-batched channel path (DESIGN.md § 16):
 // a ThreadedFlow with batching on (blocks of kElementBlockCapacity) must
 // be output-identical to the same flow with batch_block = 1 (per-element,
-// the pre-batch runtime) through block-aware operators (Map, Filter, the
-// monoid Aggregate), across watermarks, checkpoint markers and barrier
-// alignment — a tuple run never spans a control element — and channels
-// with armed fault injectors must silently fall back to per-element
-// delivery. Also the § 10 rider: shedding at the Embed operator keeps
-// exact shed accounting (every emitted tuple is admitted-or-shed exactly
-// once at the machine).
+// the pre-batch runtime) through block-aware operators (Map, Filter, and
+// A / A+ / A++ over every window machine), across watermarks, checkpoint
+// markers and barrier alignment — a tuple run never spans a control
+// element — and channels with armed fault injectors must silently fall
+// back to per-element delivery. Also the § 10 rider: shedding at the
+// Embed operator keeps exact shed accounting (every emitted tuple is
+// admitted-or-shed exactly once at the machine).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <optional>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -24,11 +25,15 @@
 #include "core/recovery/fault_injection.hpp"
 #include "core/runtime/overload.hpp"
 #include "core/runtime/threaded_runtime.hpp"
-#include "core/swa/monoid_aggregate.hpp"
+#include "core/swa/monoid_machine.hpp"
 #include "harness/sustainable.hpp"
+#include "machine_matrix.hpp"
 
 namespace aggspes {
 namespace {
+
+using MonoidSumOp =
+    AggregateOp<int, int, int, swa::MonoidWindowMachine<int, int, int>>;
 
 /// n tuples with a watermark every `wm_every` and optional checkpoint
 /// markers at the given tuple indices.
@@ -70,7 +75,7 @@ PipeOut run_pipeline(const std::vector<Element<int>>& script,
   auto& map = flow.add<MapOp<int, int>>([](const int& v) { return v * 3; });
   auto& filt =
       flow.add<FilterOp<int>>([](const int& v) { return v % 2 == 0; });
-  auto& agg = flow.add<swa::MonoidAggregateOp<int, int, int, int>>(
+  auto& agg = flow.add<MonoidSumOp>(
       WindowSpec{.advance = 5, .size = 10, .lateness = 3},
       [](const int& v) { return v % 4; }, swa::sum_monoid<int>(),
       [](const int&, const swa::WindowAggregate<int>& wa)
@@ -96,6 +101,57 @@ TEST(ChannelBlock, BatchedPipelineMatchesPerElement) {
   EXPECT_EQ(batched.watermarks, scalar.watermarks);
   EXPECT_EQ(batched.agg_dropped, scalar.agg_dropped);
   EXPECT_EQ(batched.agg_fired, scalar.agg_fired);
+}
+
+/// src → the op `add` builds → sink on the threaded runtime at the given
+/// batch size.
+template <typename AddOp>
+PipeOut run_op(const std::vector<Element<int>>& script,
+               std::size_t batch_block, AddOp add) {
+  ThreadedFlow flow;
+  flow.set_batch_block(batch_block);
+  auto& src = flow.add<ScriptSource<int>>(script);
+  auto& agg = add(flow);
+  auto& sink = flow.add<CollectorSink<int>>();
+  flow.connect(src, src.out(), agg, agg.in());
+  flow.connect(agg, agg.out(), sink, sink.in());
+  flow.run();
+  EXPECT_TRUE(sink.ended());
+  return {sink.multiset(), sink.watermarks(), agg.completed_barriers(),
+          agg.machine().dropped_late(), agg.machine().fired_instances()};
+}
+
+template <typename AddOp>
+void expect_block_path_matches(const std::vector<Element<int>>& script,
+                               const std::string& what, AddOp add) {
+  const PipeOut scalar = run_op(script, 1, add);
+  const PipeOut batched = run_op(script, kElementBlockCapacity, add);
+  ASSERT_GT(scalar.tuples.size(), 0u) << what;
+  EXPECT_EQ(batched.tuples, scalar.tuples) << what;
+  EXPECT_EQ(batched.watermarks, scalar.watermarks) << what;
+  EXPECT_EQ(batched.agg_dropped, scalar.agg_dropped) << what;
+  EXPECT_EQ(batched.agg_fired, scalar.agg_fired) << what;
+}
+
+// The one block path A, A+ and A++ share: batched add_block where the
+// machine has it (A++'s eager hook keeps it per tuple), a per-tuple loop
+// otherwise — outputs and counters equal to per-element delivery.
+TEST(ChannelBlock, EveryAggregateOverEveryMachineMatchesPerElement) {
+  const auto script = script_with(6000, 50);
+  const WindowSpec spec{.advance = 5, .size = 10, .lateness = 3};
+  const auto key = [](const int& v) { return v % 4; };
+  machine_matrix::for_each_machine<int>([&]<typename M>(const char* name) {
+    const std::string at(name);
+    expect_block_path_matches(script, at + " A", [&](auto& f) -> auto& {
+      return machine_matrix::add_sum<int, M>(f, spec, key);
+    });
+    expect_block_path_matches(script, at + " A+", [&](auto& f) -> auto& {
+      return machine_matrix::add_sum_count<int, M>(f, spec, key);
+    });
+    expect_block_path_matches(script, at + " A++", [&](auto& f) -> auto& {
+      return machine_matrix::add_eager<int, M>(f, spec, key);
+    });
+  });
 }
 
 TEST(ChannelBlock, OddBatchSizesMatchToo) {
@@ -185,7 +241,7 @@ TEST(ChannelBlock, FaultArmedChannelsFallBackToPerElementDelivery) {
   auto& map = flow.add<MapOp<int, int>>([](const int& v) { return v * 3; });
   auto& filt =
       flow.add<FilterOp<int>>([](const int& v) { return v % 2 == 0; });
-  auto& agg = flow.add<swa::MonoidAggregateOp<int, int, int, int>>(
+  auto& agg = flow.add<MonoidSumOp>(
       WindowSpec{.advance = 5, .size = 10, .lateness = 3},
       [](const int& v) { return v % 4; }, swa::sum_monoid<int>(),
       [](const int&, const swa::WindowAggregate<int>& wa)

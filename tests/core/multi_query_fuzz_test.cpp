@@ -25,8 +25,10 @@
 #include "core/operators/sink.hpp"
 #include "core/operators/source.hpp"
 #include "core/runtime/multi_query.hpp"
-#include "core/swa/backends.hpp"
-#include "core/swa/monoid_aggregate.hpp"
+#include "core/swa/daba.hpp"
+#include "core/swa/finger_tree.hpp"
+#include "core/swa/monoid_machine.hpp"
+#include "core/swa/sliced_machine.hpp"
 
 namespace aggspes {
 namespace {
@@ -223,16 +225,20 @@ QueryOutput run_oracle(Backend b, const std::vector<Element<int>>& script,
     case Backend::kBuffering:
       return oracle_replay<AggregateOp<int, int, int>>(script, spec, key_mod);
     case Backend::kSlicedReplay:
-      return oracle_replay<swa::SlicedAggregateOp<int, int, int>>(script, spec,
-                                                                  key_mod);
+      return oracle_replay<
+          AggregateOp<int, int, int, swa::SlicedWindowMachine<int, int>>>(
+          script, spec, key_mod);
     case Backend::kMonoid:
-      return oracle_monoid<swa::MonoidAggregateOp<int, int, int, int>>(
+      return oracle_monoid<
+          AggregateOp<int, int, int, swa::MonoidWindowMachine<int, int, int>>>(
           script, spec, key_mod);
     case Backend::kDaba:
-      return oracle_monoid<swa::DabaAggregateOp<int, int, int, int>>(
+      return oracle_monoid<
+          AggregateOp<int, int, int, swa::DabaWindowMachine<int, int, int>>>(
           script, spec, key_mod);
     case Backend::kFingerTree:
-      return oracle_monoid<swa::FingerTreeAggregateOp<int, int, int, int>>(
+      return oracle_monoid<
+          AggregateOp<int, int, int, swa::FingerTreeWindowMachine<int, int, int>>>(
           script, spec, key_mod);
   }
   return {};

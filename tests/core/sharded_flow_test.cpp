@@ -1,9 +1,12 @@
 // Sharded equivalence property suite (ctest label: sharded). Deploying a
 // Table-1 window aggregate as N key-partitioned shards behind the
 // splitter/union pair (DESIGN.md § 13) must not change WHAT is computed:
-// for every backend — buffering, monoid two-stacks, DABA, finger tree —
-// the N-shard output is element-set-equal to an unsharded oracle, for
-// every N, across seeded out-of-order scripts with genuine late drops.
+// for A, A+ and A++ over every window machine — buffering, sliced replay,
+// monoid two-stacks, DABA, finger tree — the N-shard output is
+// element-set-equal to an unsharded oracle, for every N, across seeded
+// out-of-order scripts with genuine late drops. The AggBased FlatMap
+// (N Embed/Unfold compositions behind the splitter, § 8) must equal the
+// dedicated FlatMap at every width.
 // Only watermark-relative ORDER may differ (shards fire key slices
 // independently between two broadcast watermarks), which is why outputs
 // compare as (ts, value) multisets — the same tolerance the backend
@@ -13,18 +16,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <optional>
+#include <cstdint>
 #include <random>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "aggbased/flatmap.hpp"
 #include "core/graph.hpp"
-#include "core/operators/aggregate.hpp"
 #include "core/operators/sink.hpp"
 #include "core/operators/source.hpp"
+#include "core/operators/stateless.hpp"
 #include "core/runtime/threaded_runtime.hpp"
-#include "core/swa/monoid_aggregate.hpp"
+#include "machine_matrix.hpp"
 
 namespace aggspes {
 namespace {
@@ -95,31 +100,33 @@ ShardEndpoints<int, int> endpoints(OpT& op) {
   return ep;
 }
 
-/// The four Table-1 window backends under test, each as a shard factory
-/// (callable on Flow and ThreadedFlow alike — the repair path rebuilds
-/// shards single-threaded).
-auto buffering_factory() {
+/// Shard factories for A, A+ and A++ over machine M running the matrix
+/// workload (machine_matrix.hpp) — callable on Flow and ThreadedFlow
+/// alike (the repair path rebuilds shards single-threaded).
+template <typename M>
+auto sum_factory() {
   return [](auto& f, int) -> ShardEndpoints<int, int> {
-    auto& op = f.template add<AggregateOp<int, int, int>>(
-        kSpec, key_of, [](const WindowView<int, int>& w) -> std::optional<int> {
-          int s = 0;
-          for (const auto& t : w.items) s += t.value;
-          return s;
-        });
-    return endpoints(op);
+    return endpoints(machine_matrix::add_sum<int, M>(f, kSpec, key_of));
   };
 }
 
-template <typename OpT>
-auto monoid_factory() {
+template <typename M>
+auto sum_count_factory() {
   return [](auto& f, int) -> ShardEndpoints<int, int> {
-    auto& op = f.template add<OpT>(
-        kSpec, key_of, swa::sum_monoid<int>(),
-        [](const int&, const swa::WindowAggregate<int>& wa)
-            -> std::optional<int> { return wa.agg; });
-    return endpoints(op);
+    return endpoints(
+        machine_matrix::add_sum_count<int, M>(f, kSpec, key_of));
   };
 }
+
+template <typename M>
+auto eager_factory() {
+  return [](auto& f, int) -> ShardEndpoints<int, int> {
+    return endpoints(machine_matrix::add_eager<int, M>(f, kSpec, key_of));
+  };
+}
+
+using Buffering = WindowMachine<int, int>;
+using MonoidMachine = swa::MonoidWindowMachine<int, int, int>;
 
 using Multiset = std::multiset<std::pair<Timestamp, int>>;
 
@@ -139,9 +146,12 @@ Multiset oracle_run(const std::vector<Element<int>>& script,
   return sink.multiset();
 }
 
+/// `late_tuples`, when given, receives the sink's count of outputs behind
+/// its watermark.
 template <typename FactoryT>
 Multiset sharded_run(const std::vector<Element<int>>& script, int shards,
-                     FactoryT&& factory, std::uint64_t expect_routed) {
+                     FactoryT&& factory, std::uint64_t expect_routed,
+                     int* late_tuples = nullptr) {
   Flow flow;
   auto& src = flow.add<ScriptSource<int>>(script);
   typename ShardedFlow<int, int, int>::Options opts;
@@ -164,6 +174,7 @@ Multiset sharded_run(const std::vector<Element<int>>& script, int shards,
   EXPECT_EQ(routed, expect_routed);
   const auto stats = sf.shard_stats();
   EXPECT_EQ(stats.size(), static_cast<std::size_t>(shards));
+  if (late_tuples != nullptr) *late_tuples = sink.late_tuples();
   return sink.multiset();
 }
 
@@ -189,24 +200,32 @@ void check_backend(FactoryT&& factory, const char* backend) {
   }
 }
 
+/// A, A+ and A++ over machine M, each through the width sweep.
+template <typename M>
+void check_machine(const std::string& name) {
+  check_backend(sum_factory<M>(), (name + " A").c_str());
+  check_backend(sum_count_factory<M>(), (name + " A+").c_str());
+  check_backend(eager_factory<M>(), (name + " A++").c_str());
+}
+
 TEST(ShardedEquivalence, BufferingBackendMatchesOracleAtEveryWidth) {
-  check_backend(buffering_factory(), "buffering");
+  check_machine<Buffering>("buffering");
+}
+
+TEST(ShardedEquivalence, SlicedReplayBackendMatchesOracleAtEveryWidth) {
+  check_machine<swa::SlicedWindowMachine<int, int>>("sliced-replay");
 }
 
 TEST(ShardedEquivalence, MonoidBackendMatchesOracleAtEveryWidth) {
-  check_backend(monoid_factory<swa::MonoidAggregateOp<int, int, int, int>>(),
-                "monoid");
+  check_machine<MonoidMachine>("monoid");
 }
 
 TEST(ShardedEquivalence, DabaBackendMatchesOracleAtEveryWidth) {
-  check_backend(monoid_factory<swa::DabaAggregateOp<int, int, int, int>>(),
-                "daba");
+  check_machine<swa::DabaWindowMachine<int, int, int>>("daba");
 }
 
 TEST(ShardedEquivalence, FingerTreeBackendMatchesOracleAtEveryWidth) {
-  check_backend(
-      monoid_factory<swa::FingerTreeAggregateOp<int, int, int, int>>(),
-      "finger-tree");
+  check_machine<swa::FingerTreeWindowMachine<int, int, int>>("finger-tree");
 }
 
 // The same property on the threaded runtime: per-shard monitors attach
@@ -215,8 +234,7 @@ TEST(ShardedEquivalence, FingerTreeBackendMatchesOracleAtEveryWidth) {
 // backend-agnostic.
 TEST(ShardedEquivalence, ThreadedShardedRunMatchesOracle) {
   const auto script = lateish_script(random_tuples(11, 250), 11);
-  const auto factory =
-      monoid_factory<swa::MonoidAggregateOp<int, int, int, int>>();
+  const auto factory = sum_factory<MonoidMachine>();
   const Multiset oracle = oracle_run(script, factory);
 
   ThreadedFlow flow;
@@ -250,10 +268,84 @@ TEST(ShardedEquivalence, MoreShardsThanKeysLeavesIdleShardsHarmless) {
   script.push_back(Watermark{100});
   script.push_back(EndOfStream{});
 
-  const auto factory = buffering_factory();
+  const auto factory = sum_factory<Buffering>();
   const Multiset oracle = oracle_run(script, factory);
   ASSERT_GT(oracle.size(), 0u);
   EXPECT_EQ(sharded_run(script, 8, factory, tuple_count(script)), oracle);
+}
+
+// The AggBased FlatMap as one more input to the width sweep: N Embed/Unfold
+// compositions behind the splitter enforce the dedicated FM's semantics.
+// The script is in order with watermark spacing D = 6 = the composition's
+// lateness (condition C1), so the dedicated FM is the oracle.
+constexpr Timestamp kFmPeriod = 6;
+
+FlatMapFn<int, int> test_fm() {
+  return [](const int& v) {
+    std::vector<int> out;
+    for (int i = 0; i < v % 3; ++i) out.push_back(v * 10 + i);
+    return out;
+  };
+}
+
+auto dedicated_fm_factory() {
+  return [](auto& f, int) -> ShardEndpoints<int, int> {
+    return endpoints(f.template add<FlatMapOp<int, int>>(test_fm()));
+  };
+}
+
+auto aggbased_fm_factory() {
+  return [](auto& f, int) -> ShardEndpoints<int, int> {
+    AggBasedFlatMap<int, int> op(f, test_fm(), kFmPeriod);
+    ShardEndpoints<int, int> ep;
+    ep.in_node = &op.in_node();
+    ep.in = &op.in();
+    ep.out_node = &op.out_node();
+    ep.out = &op.out();
+    return ep;
+  };
+}
+
+std::vector<Element<int>> in_order_script(unsigned seed, int n) {
+  std::vector<Tuple<int>> tuples = random_tuples(seed, n);
+  std::sort(tuples.begin(), tuples.end(),
+            [](const auto& a, const auto& b) { return a.ts < b.ts; });
+  return timed_script(tuples, kFmPeriod, tuples.back().ts + 30);
+}
+
+class ParallelismSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(ParallelismSweep, MatchesDedicatedForAnyInstanceCount) {
+  const auto script = in_order_script(13, 250);
+  const Multiset dedicated = oracle_run(script, dedicated_fm_factory());
+  ASSERT_GT(dedicated.size(), 0u);
+  int late = -1;
+  EXPECT_EQ(sharded_run(script, GetParam(), aggbased_fm_factory(),
+                        tuple_count(script), &late),
+            dedicated);
+  EXPECT_EQ(late, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Instances, ParallelismSweep,
+                         ::testing::Values(1, 2, 3, 4));
+
+TEST(ParallelAggBased, RunsOnThreadedRuntime) {
+  const auto script = in_order_script(17, 200);
+  const Multiset dedicated = oracle_run(script, dedicated_fm_factory());
+
+  ThreadedFlow flow;
+  auto& src = flow.add<ScriptSource<int>>(script);
+  ShardedFlow<int, int, int>::Options opts;
+  opts.key_fn = key_of;
+  ShardedFlow<int, int, int> sf(flow, 2, opts, aggbased_fm_factory());
+  auto& sink = flow.add<CollectorSink<int>>();
+  flow.connect(src, src.out(), sf.in_node(), sf.in());
+  flow.connect(sf.out_node(), sf.out(), sink, sink.in());
+  flow.run();
+
+  EXPECT_TRUE(sink.ended());
+  EXPECT_EQ(sink.late_tuples(), 0);
+  EXPECT_EQ(sink.multiset(), dedicated);
 }
 
 }  // namespace

@@ -19,12 +19,13 @@
 #include <utility>
 #include <vector>
 
+#include "core/operators/aggregate.hpp"
 #include "core/operators/sink.hpp"
 #include "core/operators/source.hpp"
 #include "core/recovery/async_checkpoint.hpp"
 #include "core/recovery/replay_source.hpp"
 #include "core/recovery/supervisor.hpp"
-#include "core/swa/monoid_aggregate.hpp"
+#include "core/swa/monoid_machine.hpp"
 
 namespace aggspes {
 namespace {
@@ -50,7 +51,8 @@ std::vector<Tuple<int>> random_stream(unsigned seed, int n) {
   return v;
 }
 
-using SumOp = swa::MonoidAggregateOp<int, long, int, long>;
+using SumOp =
+    AggregateOp<int, long, int, swa::MonoidWindowMachine<int, long, int>>;
 using Hub = StateQueryHub<int, long>;
 
 template <typename FlowT>

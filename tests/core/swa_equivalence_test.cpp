@@ -1,29 +1,31 @@
-// Randomized, seeded property test (DESIGN.md § 9): the sliced backends —
-// replay and incremental-monoid — must emit exactly the buffering
-// WindowMachine's (ts, value) stream through the full operator family,
-// across random WA/WS/L combinations, out-of-order input, late arrivals
-// (both admitted re-fires and drops) and negative timestamps. Output
-// multisets are compared because per-instance key fire order is
+// Randomized, seeded property test (DESIGN.md § 9): every window machine —
+// sliced replay and the three incremental-monoid policies — must emit
+// exactly the buffering WindowMachine's (ts, value) stream under A, A+
+// and A++, across random WA/WS/L combinations, out-of-order input, late
+// arrivals (both admitted re-fires and drops) and negative timestamps.
+// Output multisets are compared because per-instance key fire order is
 // unordered_map-dependent; counters pin the lateness bookkeeping.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <optional>
 #include <random>
+#include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/graph.hpp"
-#include "core/operators/aggregate.hpp"
-#include "core/operators/aggregate_eager.hpp"
-#include "core/operators/aggregate_plus.hpp"
 #include "core/operators/sink.hpp"
 #include "core/operators/source.hpp"
-#include "core/swa/backends.hpp"
-#include "core/swa/monoid_aggregate.hpp"
+#include "machine_matrix.hpp"
 
 namespace aggspes {
 namespace {
+
+using machine_matrix::add_eager;
+using machine_matrix::add_sum;
+using machine_matrix::add_sum_count;
+using machine_matrix::for_each_machine;
 
 std::vector<Tuple<int>> random_tuples(unsigned seed, int n, Timestamp start) {
   std::mt19937 rng(seed);
@@ -79,17 +81,13 @@ struct RunResult {
   std::uint64_t late_updates;
 };
 
-template <typename AggT>
-RunResult run_sum(const std::vector<Element<int>>& script, WindowSpec spec) {
+/// Runs `script` through Op (added by `add`) and collects its output and
+/// lateness counters.
+template <typename AddOp>
+RunResult run(const std::vector<Element<int>>& script, AddOp add) {
   Flow flow;
   auto& src = flow.add<ScriptSource<int>>(script);
-  auto& agg = flow.add<AggT>(
-      spec, [](const int& v) { return v % 3; },
-      [](const WindowView<int, int>& w) -> std::optional<int> {
-        int s = 0;
-        for (const auto& t : w.items) s += t.value;
-        return s;
-      });
+  auto& agg = add(flow);
   auto& sink = flow.add<CollectorSink<int>>();
   flow.connect(src.out(), agg.in());
   flow.connect(agg.out(), sink.in());
@@ -98,20 +96,37 @@ RunResult run_sum(const std::vector<Element<int>>& script, WindowSpec spec) {
           agg.machine().late_updates()};
 }
 
-RunResult run_monoid_sum(const std::vector<Element<int>>& script,
-                         WindowSpec spec) {
-  Flow flow;
-  auto& src = flow.add<ScriptSource<int>>(script);
-  auto& agg = flow.add<swa::MonoidAggregateOp<int, int, int, int>>(
-      spec, [](const int& v) { return v % 3; }, swa::sum_monoid<int>(),
-      [](const int&, const swa::WindowAggregate<int>& wa)
-          -> std::optional<int> { return wa.agg; });
-  auto& sink = flow.add<CollectorSink<int>>();
-  flow.connect(src.out(), agg.in());
-  flow.connect(agg.out(), sink.in());
-  flow.run();
-  return {sink.multiset(), agg.machine().dropped_late(),
-          agg.machine().late_updates()};
+int key3(const int& v) { return v % 3; }
+int key2(const int& v) { return v % 2; }
+
+template <typename M>
+RunResult run_a(const std::vector<Element<int>>& script, WindowSpec spec) {
+  return run(script, [&](Flow& f) -> auto& {
+    return add_sum<int, M>(f, spec, key3);
+  });
+}
+
+template <typename M>
+RunResult run_aplus(const std::vector<Element<int>>& script,
+                    WindowSpec spec) {
+  return run(script, [&](Flow& f) -> auto& {
+    return add_sum_count<int, M>(f, spec, key2);
+  });
+}
+
+template <typename M>
+RunResult run_eager(const std::vector<Element<int>>& script,
+                    WindowSpec spec) {
+  return run(script, [&](Flow& f) -> auto& {
+    return add_eager<int, M>(f, spec, key2);
+  });
+}
+
+void expect_same(const RunResult& got, const RunResult& want,
+                 const std::string& trace) {
+  EXPECT_EQ(got.out, want.out) << trace;
+  EXPECT_EQ(got.dropped, want.dropped) << trace;
+  EXPECT_EQ(got.late_updates, want.late_updates) << trace;
 }
 
 TEST(SwaEquivalence, RandomizedAggregateAcrossSpecsAndSeeds) {
@@ -133,19 +148,13 @@ TEST(SwaEquivalence, RandomizedAggregateAcrossSpecsAndSeeds) {
       auto script = lateish_script(std::move(tuples), /*k=*/8,
                                    /*wm_every=*/7, flush, seed);
 
-      const RunResult buffering =
-          run_sum<AggregateOp<int, int, int>>(script, spec);
-      const RunResult sliced =
-          run_sum<swa::SlicedAggregateOp<int, int, int>>(script, spec);
-      const RunResult monoid = run_monoid_sum(script, spec);
-
+      const RunResult buffering = run_a<WindowMachine<int, int>>(script, spec);
       EXPECT_GT(buffering.out.size(), 0u);
-      EXPECT_EQ(sliced.out, buffering.out) << "spec " << si << " seed " << seed;
-      EXPECT_EQ(sliced.dropped, buffering.dropped);
-      EXPECT_EQ(sliced.late_updates, buffering.late_updates);
-      EXPECT_EQ(monoid.out, buffering.out) << "spec " << si << " seed " << seed;
-      EXPECT_EQ(monoid.dropped, buffering.dropped);
-      EXPECT_EQ(monoid.late_updates, buffering.late_updates);
+      for_each_machine<int>([&]<typename M>(const char* name) {
+        expect_same(run_a<M>(script, spec), buffering,
+                    std::string(name) + " spec " + std::to_string(si) +
+                        " seed " + std::to_string(seed));
+      });
     }
   }
 }
@@ -156,43 +165,12 @@ TEST(SwaEquivalence, AggregatePlusEmitsIdenticalMultiOutputs) {
   const Timestamp flush = tuples.back().ts + 30;
   auto script = lateish_script(std::move(tuples), 6, 9, flush, 42);
 
-  // f_O emits sum and count: two outputs per (instance, key).
-  auto f_o = [](const WindowView<int, int>& w) {
-    int s = 0;
-    for (const auto& t : w.items) s += t.value;
-    return std::vector<int>{s, static_cast<int>(w.items.size())};
-  };
-  auto run = [&](auto* tag) {
-    using AggT = std::remove_pointer_t<decltype(tag)>;
-    Flow flow;
-    auto& src = flow.add<ScriptSource<int>>(script);
-    auto& agg = flow.add<AggT>(spec, [](const int& v) { return v % 2; }, f_o);
-    auto& sink = flow.add<CollectorSink<int>>();
-    flow.connect(src.out(), agg.in());
-    flow.connect(agg.out(), sink.in());
-    flow.run();
-    return sink.multiset();
-  };
-  const auto buffering =
-      run(static_cast<AggregatePlusOp<int, int, int>*>(nullptr));
-  const auto sliced =
-      run(static_cast<swa::SlicedAggregatePlusOp<int, int, int>*>(nullptr));
-  EXPECT_GT(buffering.size(), 0u);
-  EXPECT_EQ(sliced, buffering);
-
-  // Monoid A+ with ⟨sum⟩ and a two-output lowering must match as well.
-  Flow flow;
-  auto& src = flow.add<ScriptSource<int>>(script);
-  auto& agg = flow.add<swa::MonoidAggregatePlusOp<int, int, int, int>>(
-      spec, [](const int& v) { return v % 2; }, swa::sum_monoid<int>(),
-      [](const int&, const swa::WindowAggregate<int>& wa) {
-        return std::vector<int>{wa.agg, static_cast<int>(wa.count)};
-      });
-  auto& sink = flow.add<CollectorSink<int>>();
-  flow.connect(src.out(), agg.in());
-  flow.connect(agg.out(), sink.in());
-  flow.run();
-  EXPECT_EQ(sink.multiset(), buffering);
+  const RunResult buffering =
+      run_aplus<WindowMachine<int, int>>(script, spec);
+  EXPECT_GT(buffering.out.size(), 0u);
+  for_each_machine<int>([&]<typename M>(const char* name) {
+    expect_same(run_aplus<M>(script, spec), buffering, name);
+  });
 }
 
 TEST(SwaEquivalence, EagerBackendsEmitIdenticalIncrementalStreams) {
@@ -201,45 +179,12 @@ TEST(SwaEquivalence, EagerBackendsEmitIdenticalIncrementalStreams) {
   const Timestamp flush = tuples.back().ts + 20;
   auto script = lateish_script(std::move(tuples), 4, 8, flush, 7);
 
-  // f_I emits the running count on every arrival; f_O nothing.
-  auto f_i = [](const WindowView<int, int>& w) {
-    return std::vector<int>{static_cast<int>(w.items.size())};
-  };
-  auto f_o = [](const WindowView<int, int>&) { return std::vector<int>{}; };
-  auto run = [&](auto* tag) {
-    using AggT = std::remove_pointer_t<decltype(tag)>;
-    Flow flow;
-    auto& src = flow.add<ScriptSource<int>>(script);
-    auto& agg =
-        flow.add<AggT>(spec, [](const int& v) { return v % 2; }, f_i, f_o);
-    auto& sink = flow.add<CollectorSink<int>>();
-    flow.connect(src.out(), agg.in());
-    flow.connect(agg.out(), sink.in());
-    flow.run();
-    return sink.multiset();
-  };
-  const auto buffering =
-      run(static_cast<AggregateEagerOp<int, int, int>*>(nullptr));
-  const auto sliced =
-      run(static_cast<swa::SlicedAggregateEagerOp<int, int, int>*>(nullptr));
-  EXPECT_GT(buffering.size(), 0u);
-  EXPECT_EQ(sliced, buffering);
-
-  Flow flow;
-  auto& src = flow.add<ScriptSource<int>>(script);
-  auto& agg = flow.add<swa::MonoidAggregateEagerOp<int, int, int, int>>(
-      spec, [](const int& v) { return v % 2; }, swa::sum_monoid<int>(),
-      [](const int&, const swa::WindowAggregate<int>& wa) {
-        return std::vector<int>{static_cast<int>(wa.count)};
-      },
-      [](const int&, const swa::WindowAggregate<int>&) {
-        return std::vector<int>{};
-      });
-  auto& sink = flow.add<CollectorSink<int>>();
-  flow.connect(src.out(), agg.in());
-  flow.connect(agg.out(), sink.in());
-  flow.run();
-  EXPECT_EQ(sink.multiset(), buffering);
+  const RunResult buffering =
+      run_eager<WindowMachine<int, int>>(script, spec);
+  EXPECT_GT(buffering.out.size(), 0u);
+  for_each_machine<int>([&]<typename M>(const char* name) {
+    expect_same(run_eager<M>(script, spec), buffering, name);
+  });
 }
 
 }  // namespace

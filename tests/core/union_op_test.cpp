@@ -12,6 +12,7 @@
 
 #include "core/graph.hpp"
 #include "core/operators/sink.hpp"
+#include "core/operators/source.hpp"
 #include "core/recovery/snapshot.hpp"
 #include "core/types.hpp"
 
@@ -37,6 +38,27 @@ struct Rig {
   void end(int port) { send(port, Element<int>{EndOfStream{}}); }
   const std::vector<Timestamp>& wms() const { return sink->watermarks(); }
 };
+
+// End to end through a Flow: two script sources, tuples merged, the
+// forwarded watermark is the min over ports.
+TEST(UnionOp, MergesTuplesAndMinCombinesWatermarks) {
+  Flow flow;
+  auto& s1 = flow.add<ScriptSource<int>>(std::vector<Element<int>>{
+      Tuple<int>{1, 0, 1}, Watermark{10}, Watermark{40}, EndOfStream{}});
+  auto& s2 = flow.add<ScriptSource<int>>(std::vector<Element<int>>{
+      Tuple<int>{2, 0, 2}, Watermark{5}, Watermark{40}, EndOfStream{}});
+  auto& u = flow.add<UnionOp<int>>(2);
+  auto& sink = flow.add<CollectorSink<int>>();
+  flow.connect(s1.out(), u.in(0));
+  flow.connect(s2.out(), u.in(1));
+  flow.connect(u.out(), sink.in());
+  flow.run();
+  EXPECT_EQ(sink.tuples().size(), 2u);
+  // Combined watermark = min over ports: 5, then 40.
+  EXPECT_EQ(sink.watermarks(), (std::vector<Timestamp>{5, 40}));
+  EXPECT_TRUE(sink.ended());
+  EXPECT_EQ(sink.watermark_regressions(), 0);
+}
 
 TEST(UnionOp, MergesTuplesInArrivalOrder) {
   Rig r(2);

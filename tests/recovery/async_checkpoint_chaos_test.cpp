@@ -11,11 +11,14 @@
 // exactly what the restart resumes from. Composition tests run the same
 // matrix through DurableSource WAL replay, the multi-query lattice, and
 // the sharded single-shard repair path; a max_attempts=1 run plus a
-// fresh store on the same directory models a whole-process restart.
+// fresh store on the same directory models a whole-process restart. One
+// more input pins the frozen path itself: for A, A+ and A++ over every
+// machine that can freeze(), the async cut bytes equal snapshot_to's.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
+#include <map>
 #include <optional>
 #include <random>
 #include <set>
@@ -23,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/operators/aggregate.hpp"
 #include "core/operators/sink.hpp"
 #include "core/operators/source.hpp"
 #include "core/recovery/async_checkpoint.hpp"
@@ -32,7 +36,8 @@
 #include "core/runtime/multi_query.hpp"
 #include "core/runtime/sharded/shard_supervisor.hpp"
 #include "core/runtime/sharded/sharded_flow.hpp"
-#include "core/swa/monoid_aggregate.hpp"
+#include "core/swa/monoid_machine.hpp"
+#include "machine_matrix.hpp"
 
 namespace fs = std::filesystem;
 
@@ -62,7 +67,8 @@ std::vector<Tuple<int>> random_stream(unsigned seed, int n) {
   return v;
 }
 
-using MonoidSum = swa::MonoidAggregateOp<int, long, int, long>;
+using MonoidSum =
+    AggregateOp<int, long, int, swa::MonoidWindowMachine<int, long, int>>;
 using Multiset = std::multiset<std::pair<Timestamp, long>>;
 
 template <typename FlowT>
@@ -391,7 +397,8 @@ TEST_F(AsyncCheckpointChaosTest, ShardedRepairComposesWithAsyncCuts) {
   const auto key_fn = [](const int& v) { return v % 7; };
   const WindowSpec spec{.advance = 4, .size = 10, .lateness = 0};
   auto factory = [&](auto& f, int) -> ShardEndpoints<int, int> {
-    auto& op = f.template add<swa::MonoidAggregateOp<int, int, int, int>>(
+    auto& op = f.template add<
+        AggregateOp<int, int, int, swa::MonoidWindowMachine<int, int, int>>>(
         spec, key_fn, swa::sum_monoid<int>(),
         [](const int&, const swa::WindowAggregate<int>& wa)
             -> std::optional<int> { return wa.agg; });
@@ -485,6 +492,115 @@ TEST_F(AsyncCheckpointChaosTest, SeededSweepWithAsyncCheckpointsOn) {
     if (out.recovered) ++recoveries;
   }
   EXPECT_GT(recoveries, 0) << "no seed exercised recovery";
+}
+
+/// Keeps every cut a node records, by checkpoint id.
+struct CutLog final : CheckpointRecorder {
+  std::map<std::uint64_t, SnapshotWriter::Bytes> cuts;
+  void record(std::size_t, std::uint64_t id,
+              SnapshotWriter::Bytes state) override {
+    cuts[id] = std::move(state);
+  }
+};
+
+/// Runs each submitted job inline, exactly as the async worker would.
+struct InlineExecutor final : SnapshotExecutor {
+  void submit(CheckpointRecorder* recorder, std::size_t node,
+              std::uint64_t id, FrozenJob job) override {
+    recorder->record(node, id, job.serialize());
+    if (job.post) job.post();
+  }
+  void drain() override {}
+};
+
+/// A timed script with a checkpoint marker every kMarkerEvery tuples.
+std::vector<Element<int>> marked_script(const std::vector<Tuple<int>>& in,
+                                        Timestamp flush) {
+  std::vector<Element<int>> script;
+  std::uint64_t id = 0;
+  std::size_t tuples = 0;
+  for (Element<int>& e : timed_script(in, kPeriod, flush)) {
+    const bool tuple = std::holds_alternative<Tuple<int>>(e);
+    script.push_back(std::move(e));
+    if (tuple && ++tuples % kMarkerEvery == 0) {
+      script.push_back(CheckpointMarker{++id});
+    }
+  }
+  return script;
+}
+
+/// Every cut the op `add` builds records over `script`, with an executor
+/// bound when `async`; `freezes` receives the epochs the machine froze (0
+/// for machines that cannot freeze). Monoid machines run with a cache
+/// bound of 3 so the knob is part of the bytes.
+template <typename AddOp>
+CutLog record_cuts(const std::vector<Element<int>>& script, bool async,
+                   std::uint64_t* freezes, AddOp add) {
+  Flow flow;
+  auto& src = flow.add<ScriptSource<int>>(script);
+  auto& agg = add(flow);
+  auto& sink = flow.add<CollectorSink<long>>();
+  flow.connect(src.out(), agg.in());
+  flow.connect(agg.out(), sink.in());
+  using M = machine_matrix::MachineOf<decltype(agg)>;
+  if constexpr (machine_matrix::kFoldsMonoid<M>) {
+    agg.machine().policy().set_max_cached_keys(3);
+  }
+  CutLog log;
+  InlineExecutor exec;
+  agg.bind_recovery(&log, 1);
+  if (async) agg.bind_async(&exec);
+  flow.run();
+  *freezes = 0;
+  if constexpr (requires(M& m) { m.freeze(); }) {
+    *freezes = agg.machine().epochs().current();
+  }
+  return log;
+}
+
+/// With an executor bound, every cut of a machine that can freeze() goes
+/// through the frozen path and its bytes equal snapshot_to's; a machine
+/// that cannot freeze keeps the synchronous snapshot. Either way the
+/// last cut restores, cache bound included.
+template <typename AddOp>
+void expect_frozen_bytes_match(const std::string& what, AddOp add) {
+  SCOPED_TRACE(what);
+  const auto in = random_stream(410, 240);
+  const auto script = marked_script(in, in.back().ts + 30);
+  std::uint64_t sync_freezes = 0;
+  std::uint64_t async_freezes = 0;
+  const CutLog sync = record_cuts(script, false, &sync_freezes, add);
+  const CutLog async = record_cuts(script, true, &async_freezes, add);
+  ASSERT_GT(sync.cuts.size(), 4u);
+  EXPECT_EQ(sync_freezes, 0u);
+  Flow flow;
+  auto& agg = add(flow);
+  using M = machine_matrix::MachineOf<decltype(agg)>;
+  constexpr bool kFreezable = requires(M& m) { m.freeze(); };
+  EXPECT_EQ(async_freezes, kFreezable ? sync.cuts.size() : 0u);
+  EXPECT_EQ(async.cuts, sync.cuts);
+
+  SnapshotReader r(async.cuts.rbegin()->second);
+  agg.restore_from(r);
+  if constexpr (machine_matrix::kFoldsMonoid<M>) {
+    EXPECT_EQ(agg.machine().policy().max_cached_keys(), 3u);
+  }
+}
+
+TEST_F(AsyncCheckpointChaosTest, FrozenCutBytesEqualSyncCutsPerMachine) {
+  const auto key = [](const int& v) { return v % 3; };
+  machine_matrix::for_each_machine<long>([&]<typename M>(const char* name) {
+    const std::string at(name);
+    expect_frozen_bytes_match(at + " A", [&](Flow& f) -> auto& {
+      return machine_matrix::add_sum<long, M>(f, kSpec, key);
+    });
+    expect_frozen_bytes_match(at + " A+", [&](Flow& f) -> auto& {
+      return machine_matrix::add_sum_count<long, M>(f, kSpec, key);
+    });
+    expect_frozen_bytes_match(at + " A++", [&](Flow& f) -> auto& {
+      return machine_matrix::add_eager<long, M>(f, kSpec, key);
+    });
+  });
 }
 
 }  // namespace

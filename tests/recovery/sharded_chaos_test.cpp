@@ -18,12 +18,13 @@
 #include <utility>
 #include <vector>
 
+#include "core/operators/aggregate.hpp"
 #include "core/operators/sink.hpp"
 #include "core/operators/source.hpp"
 #include "core/recovery/fault_injection.hpp"
 #include "core/recovery/replay_source.hpp"
 #include "core/runtime/sharded/sharded_flow.hpp"
-#include "core/swa/monoid_aggregate.hpp"
+#include "core/swa/monoid_machine.hpp"
 
 namespace fs = std::filesystem;
 
@@ -52,11 +53,11 @@ std::vector<Tuple<int>> random_stream(unsigned seed, int n) {
 
 auto sum_factory() {
   return [](auto& f, int) -> ShardEndpoints<int, int> {
-    auto& op =
-        f.template add<swa::MonoidAggregateOp<int, int, int, int>>(
-            kSpec, key_of, swa::sum_monoid<int>(),
-            [](const int&, const swa::WindowAggregate<int>& wa)
-                -> std::optional<int> { return wa.agg; });
+    auto& op = f.template add<
+        AggregateOp<int, int, int, swa::MonoidWindowMachine<int, int, int>>>(
+        kSpec, key_of, swa::sum_monoid<int>(),
+        [](const int&, const swa::WindowAggregate<int>& wa)
+            -> std::optional<int> { return wa.agg; });
     ShardEndpoints<int, int> ep;
     ep.in_node = &op;
     ep.in = &op.in();

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -52,6 +53,38 @@ TEST(Snapshot, TruncatedBufferThrowsNotGarbage) {
   bytes.resize(3);  // cut mid-value
   SnapshotReader r(bytes);
   EXPECT_THROW(r.read_u64(), SnapshotError);
+}
+
+TEST(Snapshot, HugeRawReadThrowsInsteadOfWrapping) {
+  SnapshotWriter w;
+  w.write_u64(7);
+  const auto bytes = w.take();
+  SnapshotReader r(bytes);
+  r.read_u64();
+  // pos + n wraps to 0 here; the bound check must not.
+  char buf[8];
+  EXPECT_THROW(r.read_raw(buf, SIZE_MAX - 7), SnapshotError);
+}
+
+// A decoded length the remaining bytes cannot hold is rejected before any
+// allocation (a 2^63 length would otherwise throw std::bad_alloc or
+// std::length_error, which the checkpoint fallback does not catch).
+TEST(Snapshot, HugeStringLengthThrowsBeforeAllocating) {
+  SnapshotWriter w;
+  w.write_size(std::size_t{1} << 63);
+  w.write_raw("abc", 3);
+  const auto bytes = w.take();
+  SnapshotReader r(bytes);
+  EXPECT_THROW(read_value<std::string>(r), SnapshotError);
+}
+
+TEST(Snapshot, HugeVectorLengthThrowsBeforeAllocating) {
+  SnapshotWriter w;
+  w.write_size(std::size_t{1} << 63);
+  w.write_u64(1);
+  const auto bytes = w.take();
+  SnapshotReader r(bytes);
+  EXPECT_THROW(read_value<std::vector<int>>(r), SnapshotError);
 }
 
 template <typename T>

@@ -16,12 +16,13 @@
 #include <utility>
 #include <vector>
 
+#include "core/operators/aggregate.hpp"
 #include "core/operators/sink.hpp"
 #include "core/operators/source.hpp"
 #include "core/recovery/replay_source.hpp"
 #include "core/recovery/supervisor.hpp"
-#include "core/swa/backends.hpp"
-#include "core/swa/monoid_aggregate.hpp"
+#include "core/swa/monoid_machine.hpp"
+#include "core/swa/sliced_machine.hpp"
 
 namespace aggspes {
 namespace {
@@ -43,8 +44,10 @@ std::vector<Tuple<int>> random_stream(unsigned seed, int n) {
   return v;
 }
 
-using SlicedSum = swa::SlicedAggregateOp<int, long, int>;
-using MonoidSum = swa::MonoidAggregateOp<int, long, int, long>;
+using SlicedSum =
+    AggregateOp<int, long, int, swa::SlicedWindowMachine<int, int>>;
+using MonoidSum =
+    AggregateOp<int, long, int, swa::MonoidWindowMachine<int, long, int>>;
 
 template <typename FlowT>
 SlicedSum& add_sliced(FlowT& f) {
@@ -105,12 +108,12 @@ void chaos_seed_sweep(const char* name, unsigned stream_seed, AddOp add_op) {
   EXPECT_GT(recoveries, 0) << name << ": no seed exercised recovery";
 }
 
-TEST(SwaChaos, SlicedAggregateEquivalenceAcrossSeeds) {
+TEST(SwaChaos, SlicedEquivalenceAcrossSeeds) {
   chaos_seed_sweep("sliced", 201,
                    [](auto& f) -> SlicedSum& { return add_sliced(f); });
 }
 
-TEST(SwaChaos, MonoidAggregateEquivalenceAcrossSeeds) {
+TEST(SwaChaos, MonoidEquivalenceAcrossSeeds) {
   chaos_seed_sweep("monoid", 202,
                    [](auto& f) -> MonoidSum& { return add_monoid(f); });
 }

@@ -3,7 +3,8 @@
 // and replayed watermarks must not re-fire restored instances. Pane
 // cells, fired flags and cursors are the persisted truth; the monoid
 // backend's two-stacks caches are rebuilt after load and must not change
-// any output.
+// any output. Every Aggregate over every machine writes one layout — a
+// version byte, then the machine's save() — and rejects any other byte.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -12,18 +13,22 @@
 #include <utility>
 #include <vector>
 
+#include "core/operators/aggregate.hpp"
 #include "core/operators/sink.hpp"
 #include "core/operators/source.hpp"
-#include "core/swa/backends.hpp"
-#include "core/swa/monoid_aggregate.hpp"
+#include "core/swa/monoid_machine.hpp"
+#include "core/swa/sliced_machine.hpp"
+#include "machine_matrix.hpp"
 
 namespace aggspes {
 namespace {
 
 const WindowSpec kSpec{.advance = 4, .size = 8, .lateness = 2};
 
-using SlicedSum = swa::SlicedAggregateOp<int, long, int>;
-using MonoidSum = swa::MonoidAggregateOp<int, long, int, long>;
+using SlicedSum =
+    AggregateOp<int, long, int, swa::SlicedWindowMachine<int, int>>;
+using MonoidSum =
+    AggregateOp<int, long, int, swa::MonoidWindowMachine<int, long, int>>;
 
 SlicedSum& add_sliced_sum(Flow& f) {
   return f.add<SlicedSum>(
@@ -106,13 +111,13 @@ void mid_stream_continuation(AddOp add_op) {
   }
 }
 
-TEST(SwaSnapshot, SlicedAggregateMidStreamContinuation) {
+TEST(SwaSnapshot, SlicedMidStreamContinuation) {
   mid_stream_continuation([](Flow& f) -> SlicedSum& {
     return add_sliced_sum(f);
   });
 }
 
-TEST(SwaSnapshot, MonoidAggregateMidStreamContinuation) {
+TEST(SwaSnapshot, MonoidMidStreamContinuation) {
   mid_stream_continuation([](Flow& f) -> MonoidSum& {
     return add_monoid_sum(f);
   });
@@ -205,6 +210,41 @@ TEST(SwaSnapshot, SlicedLateUpdateSpansCut) {
 TEST(SwaSnapshot, MonoidLateUpdateSpansCut) {
   late_update_spans_cut([](Flow& f) -> MonoidSum& {
     return add_monoid_sum(f);
+  });
+}
+
+// The shared Aggregate layout: [base][version][machine save]. Version 0
+// (no state) restores to a fresh operator; 1 (the old has_state bool), 2
+// (the old monoid layout) and any other byte raise SnapshotError.
+TEST(SwaSnapshot, UnknownCodecVersionIsRejected) {
+  const auto key = [](const int& v) { return v % 2; };
+  machine_matrix::for_each_machine<long>([&]<typename M>(const char* name) {
+    SCOPED_TRACE(name);
+    Flow a;
+    auto& agg = machine_matrix::add_sum<long, M>(a, kSpec, key);
+    agg.in(0).receive(Element<int>{Tuple<int>{2, 0, 5}});
+    a.drain();
+    SnapshotWriter w, machine_w;
+    agg.snapshot_to(w);
+    agg.machine().save(machine_w);
+    const auto bytes = w.take();
+    const std::size_t at = bytes.size() - machine_w.bytes().size() - 1;
+    ASSERT_EQ(bytes[at], kAggregateCodecVersion);
+
+    for (std::uint8_t version : {0, 1, 2, 4, 255}) {
+      auto patched = bytes;
+      patched[at] = version;
+      Flow b;
+      auto& agg2 = machine_matrix::add_sum<long, M>(b, kSpec, key);
+      SnapshotReader r(patched);
+      if (version == 0) {
+        agg2.restore_from(r);
+        EXPECT_EQ(agg2.machine().occupancy(), 0u);
+      } else {
+        EXPECT_THROW(agg2.restore_from(r), SnapshotError)
+            << "version " << int{version};
+      }
+    }
   });
 }
 

@@ -94,11 +94,6 @@ TEST(Registry, EveryExperimentDeclaresItsBackends) {
     EXPECT_TRUE(static_cast<bool>(e.probe)) << e.id;
     ASSERT_GE(e.backends.size(), 2u) << e.id << ": not A/B-capable";
     EXPECT_EQ(e.backends.front(), WindowBackend::kBuffering) << e.id;
-    for (WindowBackend b : e.backends) {
-      EXPECT_NE(b, WindowBackend::kMonoid) << e.id;
-    }
-    // Monoid never qualifies for Table 1, and the skip is explained.
-    EXPECT_FALSE(e.monoid_skip_reason.empty()) << e.id;
   }
 }
 
@@ -128,17 +123,6 @@ TEST(Registry, ProbesAreDeterministic) {
     EXPECT_EQ(once, twice) << id;
     EXPECT_GT(once.tuples, 0u) << id << ": vacuous probe";
   }
-}
-
-TEST(Registry, MonoidBackendIsRejectedWithDiagnostic) {
-  EXPECT_THROW(experiment("ALF").probe(Impl::kAggBased, WindowBackend::kMonoid),
-               std::invalid_argument);
-  EXPECT_THROW(experiment("LLJ").probe(Impl::kDedicated, WindowBackend::kMonoid),
-               std::invalid_argument);
-  RunConfig cfg;
-  cfg.backend = WindowBackend::kMonoid;
-  EXPECT_THROW(experiment("ALF").run(Impl::kAggBased, cfg),
-               std::invalid_argument);
 }
 
 TEST(Registry, JoinShardsRejectionIsATypedConfigError) {
