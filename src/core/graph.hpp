@@ -74,11 +74,13 @@ class Port final : public Consumer<T> {
 
 /// Transport edge between an outlet and a consumer. Concrete channels are
 /// provided by the runtimes (queued single-threaded, SPSC threaded).
+/// push takes the element over; a caller that keeps its element passes a
+/// copy.
 template <typename T>
 class Channel {
  public:
   virtual ~Channel() = default;
-  virtual void push(const Element<T>& e) = 0;
+  virtual void push(Element<T>&& e) = 0;
   virtual bool loop() const = 0;
 
   /// Bulk push of a contiguous tuple run. Runtimes with a bulk transport
@@ -100,13 +102,22 @@ class Outlet {
  public:
   void subscribe(Channel<T>* c) { channels_.push_back(c); }
 
-  void push(const Element<T>& e) {
+  /// Takes the element over: every eligible channel but the last gets a
+  /// copy, the last gets `e` itself — so a single subscriber costs no
+  /// copy at all.
+  void push(Element<T>&& e) {
     const bool through_loop = is_tuple(e) || is_marker(e);
+    Channel<T>* last = nullptr;
     for (Channel<T>* c : channels_) {
       if (!through_loop && c->loop()) continue;
-      c->push(e);
+      if (last != nullptr) last->push(Element<T>(e));
+      last = c;
     }
+    if (last != nullptr) last->push(std::move(e));
   }
+
+  /// Copying fan-out: one copy of `e`, then as above.
+  void push(const Element<T>& e) { push(Element<T>(e)); }
 
   /// Bulk fan-out of a tuple run. Tuples traverse loop edges (P3 only
   /// withholds watermarks/EOS), so every channel sees the block.
@@ -354,8 +365,8 @@ class Flow {
     QueuedChannel(Flow& flow, Consumer<T>& target, bool loop)
         : flow_(flow), target_(target), loop_(loop) {}
 
-    void push(const Element<T>& e) override {
-      queue_.push_back(e);
+    void push(Element<T>&& e) override {
+      queue_.push_back(std::move(e));
       flow_.schedule(this);
     }
     bool loop() const override { return loop_; }

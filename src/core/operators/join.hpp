@@ -12,10 +12,11 @@
 //
 // Storage goes through the JoinPaneStore (DESIGN.md § 9): each tuple is
 // held once, in its gcd(WA, WS)-wide pane, and a probe of instance l walks
-// the panes in [l, l + WS) in global arrival order — so output, comparison
+// that instance's arrival-ordered pointer list — so output, comparison
 // counts and late-drop counts are element-identical to the per-instance
-// BufferingJoinOp (core/operators/join_buffering.hpp) while memory stops
-// scaling with the WS/WA overlap ratio.
+// BufferingJoinOp (core/operators/join_buffering.hpp), each tuple's
+// payload is stored once instead of WS/WA times, and an arrival costs
+// O(WS/WA) list lookups however many panes an instance spans.
 //
 // Snapshot codec: versioned. Version 2 persists the pane store; the
 // pre-pane layout (whose first post-base byte was a has_state bool of 0/1,
@@ -97,7 +98,7 @@ class JoinOp final : public BinaryNode<L, R, std::pair<L, R>> {
       if (version == 1) {
         migrate_per_instance(r);
       } else if (version == kCodecVersion) {
-        store_.load(r);
+        store_.load(r, this->watermark());
       } else {
         throw SnapshotError("unknown JoinOp codec version " +
                             std::to_string(version));
@@ -180,13 +181,13 @@ class JoinOp final : public BinaryNode<L, R, std::pair<L, R>> {
   /// previously processed instance precedes first_instance(ts) — and skip
   /// the later duplicates.
   void migrate_per_instance(SnapshotReader& r) {
-    store_.clear();
+    store_.clear(this->watermark());
     bool have_prev = false;
     Timestamp prev_l = 0;
-    const std::size_t n_instances = r.read_size();
+    const std::size_t n_instances = r.read_count();
     for (std::size_t i = 0; i < n_instances; ++i) {
       const Timestamp l = r.read_i64();
-      const std::size_t n_keys = r.read_size();
+      const std::size_t n_keys = r.read_count();
       for (std::size_t k = 0; k < n_keys; ++k) {
         Key key = read_value<Key>(r);
         auto lefts = read_value<std::vector<Tuple<L>>>(r);

@@ -86,11 +86,11 @@ class BufferingJoinOp final : public BinaryNode<L, R, std::pair<L, R>> {
       if (!has_state) return;
       instances_.clear();
       occupancy_ = 0;
-      const std::size_t n_instances = r.read_size();
+      const std::size_t n_instances = r.read_count();
       for (std::size_t i = 0; i < n_instances; ++i) {
         const Timestamp l = r.read_i64();
         auto& keys = instances_[l];
-        const std::size_t n_keys = r.read_size();
+        const std::size_t n_keys = r.read_count();
         for (std::size_t k = 0; k < n_keys; ++k) {
           Key key = read_value<Key>(r);
           Cell cell;

@@ -168,10 +168,18 @@ class UnaryNode : public NodeBase {
 template <typename L, typename R, typename Out>
 class BinaryNode : public NodeBase {
  public:
+  // Tuple runs (never spanning a control element) go straight to
+  // on_left/on_right, without re-wrapping each tuple in an Element.
   BinaryNode()
       : combiner_(2),
-        left_([this](const Element<L>& e) { dispatch_left(e); }),
-        right_([this](const Element<R>& e) { dispatch_right(e); }) {}
+        left_([this](const Element<L>& e) { dispatch_left(e); },
+              [this](const Tuple<L>* ts, std::size_t n) {
+                for (std::size_t i = 0; i < n; ++i) on_left(ts[i]);
+              }),
+        right_([this](const Element<R>& e) { dispatch_right(e); },
+               [this](const Tuple<R>* ts, std::size_t n) {
+                 for (std::size_t i = 0; i < n; ++i) on_right(ts[i]);
+               }) {}
 
   Consumer<L>& in_left() { return left_; }
   Consumer<R>& in_right() { return right_; }

@@ -36,11 +36,6 @@ class SpscQueue {
     return true;
   }
 
-  bool try_push(const T& v) {
-    T copy = v;
-    return try_push(std::move(copy));
-  }
-
   /// Blocking push: spins (with yields) until space is available.
   void push(T v) {
     while (!try_push(std::move(v))) {

@@ -418,7 +418,10 @@ class ThreadedFlow {
           consumer_(consumer),
           edge_id_(edge_id) {}
 
-    void push(const Element<T>& e) override {
+    /// Takes `e` over. A failed try_push leaves it untouched, so a
+    /// producer blocked on a full queue retries with the same element
+    /// instead of copying it per attempt.
+    void push(Element<T>&& e) override {
       if (is_end(e)) {
         producer_->emitted_end.store(true, std::memory_order_release);
       }
@@ -428,12 +431,12 @@ class ThreadedFlow {
         }
         if (consumer_->exited.load(std::memory_order_acquire)) return;
         std::lock_guard<std::mutex> lk(mu_);
-        overflow_.push_back(e);
+        overflow_.push_back(std::move(e));
         if (overflow_.size() > high_water_.load(std::memory_order_relaxed)) {
           high_water_.store(overflow_.size(), std::memory_order_relaxed);
         }
       } else {
-        if (!queue_.try_push(e)) {
+        if (!queue_.try_push(std::move(e))) {
           // Blocked on a full queue: producer stall time is the overload
           // monitor's most direct backpressure signal, so charge the whole
           // wait (including aborted/abandoned ones) to stall_ns_.
@@ -458,7 +461,7 @@ class ThreadedFlow {
               return;
             }
             std::this_thread::yield();
-            if (queue_.try_push(e)) break;
+            if (queue_.try_push(std::move(e))) break;
           }
           charge_stall();
         }

@@ -3,9 +3,9 @@
 // The buffering J copies every tuple into each of its WS/WA overlapping
 // instances; this store keeps both sides' tuples exactly once, in panes of
 // width g = gcd(WA, WS) — the same slicing as SlicedEngine — and answers a
-// probe of instance l by walking the panes in [l, l + WS). Every stored
-// tuple carries a global arrival sequence number shared across both sides,
-// so a probe materializes the other side's tuples in exactly the order the
+// probe of instance l from that instance's arrival index (below). Every
+// stored tuple carries a global arrival sequence number shared across both
+// sides, so a probe yields the other side's tuples in exactly the order the
 // per-instance cell would have held them (arrival order), which is what
 // keeps the pane-backed JoinOp's output element-identical to the buffering
 // one.
@@ -26,18 +26,22 @@
 // watermark (L = 0 for J, § 3): closes is monotone in w and antitone in l,
 // so no open instance can still reach the pane.
 //
-// Probe caching: the join is eager, so every arrival probes the other side
-// of each open instance it falls in — naively that re-collects and re-sorts
-// the instance's pane range per arrival (~2× CPU vs the buffering join at
-// high WS/WA). Instead each (instance, key, side) keeps its merged probe —
-// a seq-sorted pointer vector — plus the sequence cursor it is valid up
-// to. A refresh appends only entries with seq >= cursor (each cell is
-// seq-ascending, so the suffix is found by binary search) and sorts just
-// that suffix: every new seq exceeds every cached one, so the append
-// preserves global arrival order. Cells are deques so cached pointers
-// survive later pushes; a cache entry dies with its instance in
-// purge_closed — any pane a cached probe points into is, by the closes
-// monotonicity above, only erased once that instance is closed too.
+// Arrival index: the join is eager, so every arrival probes the other
+// side of each open instance it falls in. Each (instance, key, side)
+// therefore keeps the list of its entries' pointers, appended when
+// add_left/add_right stores the entry — once per *open* instance
+// containing it (instances the store's horizon, the last purge_closed
+// watermark, has closed never get a list). Appends happen in arrival
+// order, so every list is already in global seq order and a probe is one
+// lookup plus a walk of that list: O(WS/WA) list appends and lookups per
+// arrival, independent of how many panes an instance spans. Cells are
+// deques, so listed pointers survive later pushes. An entry in pane p is
+// only listed in instances containing its ts, which all close no later
+// than the last instance containing p; purge_closed drops closed
+// instances' lists *before* it erases panes, so no dangling pointer
+// survives even transiently. load() checks every entry's ts lies in its
+// pane — the precondition of that argument — and rebuilds the lists in
+// seq order.
 #pragma once
 
 #include <algorithm>
@@ -46,6 +50,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -94,12 +99,14 @@ class JoinPaneStore {
 
   bool has_equi() const { return static_cast<bool>(equi_l_); }
 
-  /// Stores `t` exactly once, in its pane. Callers only store tuples that
-  /// fall in at least one open instance.
+  /// Stores `t` exactly once, in its pane, and lists it in every open
+  /// instance containing it. Callers only store tuples that fall in at
+  /// least one open instance.
   void add_left(const Key& key, const Tuple<L>& t) {
     Cell& c = cell(key, t.ts);
     c.lefts.push_back({next_seq_++, t});
     if (equi_l_) c.left_eq[equi_l_(t.value)].push_back(c.lefts.size() - 1);
+    index(key, c.lefts.back(), &Lists::lefts);
     bump_occupancy();
   }
 
@@ -109,6 +116,7 @@ class JoinPaneStore {
     if (equi_r_) {
       c.right_eq[equi_r_(t.value)].push_back(c.rights.size() - 1);
     }
+    index(key, c.rights.back(), &Lists::rights);
     bump_occupancy();
   }
 
@@ -116,23 +124,17 @@ class JoinPaneStore {
   /// instance l, in global arrival order — the contents the buffering
   /// join's per-instance cell would hold.
   template <typename Fn>
-  void for_each_left(Timestamp l, const Key& key, Fn&& fn) {
-    const auto& sorted =
-        probe(l, key, left_probes_,
-              [](const Cell& c) -> const std::deque<Entry<L>>& {
-                return c.lefts;
-              });
-    for (const Entry<L>* e : sorted) fn(e->t);
+  void for_each_left(Timestamp l, const Key& key, Fn&& fn) const {
+    if (const Lists* ls = lists(l, key)) {
+      for (const Entry<L>* e : ls->lefts) fn(e->t);
+    }
   }
 
   template <typename Fn>
-  void for_each_right(Timestamp l, const Key& key, Fn&& fn) {
-    const auto& sorted =
-        probe(l, key, right_probes_,
-              [](const Cell& c) -> const std::deque<Entry<R>>& {
-                return c.rights;
-              });
-    for (const Entry<R>* e : sorted) fn(e->t);
+  void for_each_right(Timestamp l, const Key& key, Fn&& fn) const {
+    if (const Lists* ls = lists(l, key)) {
+      for (const Entry<R>* e : ls->rights) fn(e->t);
+    }
   }
 
   /// Indexed variants: only candidates whose declared equi hash equals
@@ -162,18 +164,15 @@ class JoinPaneStore {
   }
 
   /// Erases panes no open instance can reach (the pane analogue of the
-  /// buffering join's closed-instance discard).
+  /// buffering join's closed-instance discard) and advances the horizon:
+  /// instances closed at w are never indexed again.
   void purge_closed(Timestamp w) {
-    // Closed instances can no longer be probed; drop their cached probes
-    // before (not after) their panes go, so no dangling pointer survives
-    // even transiently.
-    while (!left_probes_.empty() &&
-           spec_.closes(left_probes_.begin()->first, w)) {
-      left_probes_.erase(left_probes_.begin());
-    }
-    while (!right_probes_.empty() &&
-           spec_.closes(right_probes_.begin()->first, w)) {
-      right_probes_.erase(right_probes_.begin());
+    if (w > horizon_) horizon_ = w;
+    // Closed instances can no longer be probed; drop their lists before
+    // (not after) their panes go, so no dangling pointer survives even
+    // transiently.
+    while (!index_.empty() && spec_.closes(index_.begin()->first, w)) {
+      index_.erase(index_.begin());
     }
     while (!panes_.empty()) {
       auto it = panes_.begin();
@@ -185,10 +184,12 @@ class JoinPaneStore {
     }
   }
 
-  void clear() {
+  /// Empties the store; `horizon` is the watermark its owner resumes at
+  /// (instances it closes are never indexed).
+  void clear(Timestamp horizon) {
     panes_.clear();
-    left_probes_.clear();
-    right_probes_.clear();
+    index_.clear();
+    horizon_ = horizon;
     occupancy_ = 0;
     next_seq_ = 0;
   }
@@ -220,72 +221,109 @@ class JoinPaneStore {
     w.write_u64(next_seq_);
   }
 
-  void load(SnapshotReader& r) {
-    clear();
-    const std::size_t n_panes = r.read_size();
+  /// Restores what save() wrote and rebuilds the arrival index for the
+  /// instances open at `horizon` (the owner's restored watermark). Bytes
+  /// are hostile: counts are bounded by the bytes left, and a cut whose
+  /// panes or keys repeat, whose entry lies outside its pane, or whose
+  /// seqs are not strictly ascending per cell side, not unique, or not
+  /// below the stored cursor raises SnapshotError.
+  void load(SnapshotReader& r, Timestamp horizon) {
+    clear(horizon);
+    const std::size_t n_panes = r.read_count();
     for (std::size_t i = 0; i < n_panes; ++i) {
       const Timestamp p = r.read_i64();
+      if (!panes_.empty() && p <= panes_.rbegin()->first) {
+        throw SnapshotError("join pane " + std::to_string(p) +
+                            " out of order");
+      }
       auto& cells = panes_[p];
-      const std::size_t n_cells = r.read_size();
+      const std::size_t n_cells = r.read_count();
       for (std::size_t c = 0; c < n_cells; ++c) {
         Key key = read_value<Key>(r);
         Cell cell;
-        load_entries(r, cell.lefts);
-        load_entries(r, cell.rights);
+        load_entries(r, p, cell.lefts);
+        load_entries(r, p, cell.rights);
         occupancy_ += cell.lefts.size() + cell.rights.size();
-        cells.emplace(std::move(key), std::move(cell));
+        if (!cells.emplace(std::move(key), std::move(cell)).second) {
+          throw SnapshotError("join pane " + std::to_string(p) +
+                              " repeats a key");
+        }
       }
     }
     next_seq_ = r.read_u64();
+    rebuild_index();
     peak_occupancy_ = occupancy_;
     peak_panes_ = panes_.size();
     if (has_equi()) rebuild_equi();
   }
 
  private:
+  /// One (instance, key)'s arrival index: both sides' entries of the
+  /// instance, each list in global seq order.
+  struct Lists {
+    std::vector<const Entry<L>*> lefts;
+    std::vector<const Entry<R>*> rights;
+  };
+
   Cell& cell(const Key& key, Timestamp ts) {
     return panes_[geom_.pane_of(ts)][key];
   }
 
-  /// One side's cached probe of an instance: the seq-sorted entry pointers
-  /// merged so far, valid for every entry with seq < upto.
-  template <typename E>
-  struct Probe {
-    std::vector<const E*> sorted;
-    std::uint64_t upto{0};
-  };
-  template <typename E>
-  using ProbeCache = std::map<Timestamp, std::unordered_map<Key, Probe<E>>>;
+  const Lists* lists(Timestamp l, const Key& key) const {
+    auto inst = index_.find(l);
+    if (inst == index_.end()) return nullptr;
+    auto it = inst->second.find(key);
+    return it == inst->second.end() ? nullptr : &it->second;
+  }
 
-  /// Returns the instance's seq-sorted probe, refreshing it incrementally:
-  /// only entries that arrived since the cached cursor are collected (each
-  /// cell is seq-ascending, so the new suffix is a binary search away) and
-  /// only that suffix is sorted — its seqs all exceed the cached ones, so
-  /// appending preserves global arrival order.
-  template <typename E, typename Side>
-  const std::vector<const E*>& probe(Timestamp l, const Key& key,
-                                     ProbeCache<E>& cache, Side&& side) {
-    Probe<E>& p = cache[l][key];
-    if (p.upto < next_seq_) {
-      const auto old_size = static_cast<std::ptrdiff_t>(p.sorted.size());
-      const Timestamp end = l + spec_.size;
-      for (auto it = panes_.lower_bound(l);
-           it != panes_.end() && it->first < end; ++it) {
-        auto c = it->second.find(key);
-        if (c == it->second.end()) continue;
-        const auto& entries = side(c->second);
-        auto first_new = std::lower_bound(
-            entries.begin(), entries.end(), p.upto,
-            [](const E& e, std::uint64_t s) { return e.seq < s; });
-        for (; first_new != entries.end(); ++first_new) {
-          p.sorted.push_back(&*first_new);
+  /// Appends `e` to `side` of every open instance containing it.
+  template <typename E>
+  void index(const Key& key, const E& e, std::vector<const E*> Lists::*side) {
+    spec_.for_each_instance(e.t.ts, [&](Timestamp l) {
+      if (!spec_.closes(l, horizon_)) (index_[l][key].*side).push_back(&e);
+    });
+  }
+
+  /// Re-derives the arrival index from the loaded entries: indexing them
+  /// in seq order reproduces the lists the live store had built.
+  void rebuild_index() {
+    struct Arrival {
+      std::uint64_t seq;
+      const Key* key;
+      const Entry<L>* left;
+      const Entry<R>* right;
+    };
+    std::vector<Arrival> arrivals;
+    arrivals.reserve(occupancy_);
+    for (const auto& [p, cells] : panes_) {
+      for (const auto& [key, c] : cells) {
+        for (const Entry<L>& e : c.lefts) {
+          arrivals.push_back({e.seq, &key, &e, nullptr});
+        }
+        for (const Entry<R>& e : c.rights) {
+          arrivals.push_back({e.seq, &key, nullptr, &e});
         }
       }
-      std::sort(p.sorted.begin() + old_size, p.sorted.end(),
-                [](const E* a, const E* b) { return a->seq < b->seq; });
-      p.upto = next_seq_;
     }
-    return p.sorted;
+    std::sort(arrivals.begin(), arrivals.end(),
+              [](const Arrival& a, const Arrival& b) { return a.seq < b.seq; });
+    for (std::size_t i = 0; i < arrivals.size(); ++i) {
+      const Arrival& a = arrivals[i];
+      if (a.seq >= next_seq_) {
+        throw SnapshotError("join entry seq " + std::to_string(a.seq) +
+                            " is not below the stored cursor " +
+                            std::to_string(next_seq_));
+      }
+      if (i > 0 && arrivals[i - 1].seq == a.seq) {
+        throw SnapshotError("join entry seq " + std::to_string(a.seq) +
+                            " repeats");
+      }
+      if (a.left != nullptr) {
+        index(*a.key, *a.left, &Lists::lefts);
+      } else {
+        index(*a.key, *a.right, &Lists::rights);
+      }
+    }
   }
 
   /// Collects the candidates of bucket `h` across the instance's panes
@@ -339,13 +377,24 @@ class JoinPaneStore {
     }
   }
 
+  /// Reads one cell side of pane p: every entry must lie in p and the
+  /// seqs must strictly ascend (the order the live store appended them).
   template <typename T>
-  static void load_entries(SnapshotReader& r, std::deque<Entry<T>>& v) {
-    const std::size_t n = r.read_size();
+  void load_entries(SnapshotReader& r, Timestamp p,
+                    std::deque<Entry<T>>& v) const {
+    const std::size_t n = r.read_count();
     for (std::size_t i = 0; i < n; ++i) {
       Entry<T> e;
       e.seq = r.read_u64();
       e.t = read_value<Tuple<T>>(r);
+      if (geom_.pane_of(e.t.ts) != p) {
+        throw SnapshotError("join entry ts " + std::to_string(e.t.ts) +
+                            " outside its pane " + std::to_string(p));
+      }
+      if (!v.empty() && e.seq <= v.back().seq) {
+        throw SnapshotError("join entry seqs not ascending in pane " +
+                            std::to_string(p));
+      }
       v.push_back(std::move(e));
     }
   }
@@ -358,12 +407,12 @@ class JoinPaneStore {
   WindowSpec spec_;
   PaneGeometry geom_;
   PaneMap panes_;
+  std::map<Timestamp, std::unordered_map<Key, Lists>> index_;
+  Timestamp horizon_{kMinTimestamp};  ///< last purge_closed watermark
   std::uint64_t next_seq_{0};
   std::uint64_t occupancy_{0};
   std::uint64_t peak_occupancy_{0};
   std::uint64_t peak_panes_{0};
-  ProbeCache<Entry<L>> left_probes_;
-  ProbeCache<Entry<R>> right_probes_;
   LeftEquiHash equi_l_;
   RightEquiHash equi_r_;
 };

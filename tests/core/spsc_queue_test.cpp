@@ -109,7 +109,7 @@ TEST(SpscQueue, MixedScalarAndBulkPreserveFifoOrder) {
         std::iota(scratch.begin(), scratch.begin() + want, produced);
         produced +=
             static_cast<int>(q.push_n(scratch.data(), static_cast<std::size_t>(want)));
-      } else if (q.try_push(produced)) {
+      } else if (q.try_push(int{produced})) {
         ++produced;
       }
     } else {
