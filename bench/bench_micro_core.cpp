@@ -44,7 +44,7 @@ void BM_WindowMachine_AddAndFire(benchmark::State& state) {
       [](const int& v) { return v % 8; });
   std::uint64_t fired = 0;
   WindowMachine<int, int>::FireFn fire =
-      [&fired](Timestamp, const int&, const std::vector<Tuple<int>>&, bool) {
+      [&fired](Timestamp, const int&, const TupleView<int>&, bool) {
         ++fired;
       };
   Timestamp ts = 0;

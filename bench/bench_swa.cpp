@@ -82,17 +82,10 @@ void run_machine(benchmark::State& state, MakeMachine&& make) {
   state.SetItemsProcessed(state.iterations());
 }
 
-// WindowMachine::FireFn/Result shim: its fire payload is the items vector.
-template <typename In, typename Key>
-struct BufferingMachine : WindowMachine<In, Key> {
-  using Result = std::vector<Tuple<In>>;
-  using WindowMachine<In, Key>::WindowMachine;
-};
-
 void BM_Buffering_Sum(benchmark::State& state) {
-  run_machine<BufferingMachine<int, int>>(state, [](WindowSpec spec) {
-    return BufferingMachine<int, int>(spec,
-                                      [](const int& v) { return v % kKeys; });
+  run_machine<WindowMachine<int, int>>(state, [](WindowSpec spec) {
+    return WindowMachine<int, int>(spec,
+                                   [](const int& v) { return v % kKeys; });
   });
 }
 BENCHMARK(BM_Buffering_Sum)->Arg(1)->Arg(4)->Arg(32);

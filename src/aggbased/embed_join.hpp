@@ -63,27 +63,29 @@ std::function<Key(const JoinSides<L, R>&)> make_side_key(
 }
 
 /// Listing 2's f_O core (L16-36): the in-order cartesian match. Invokes
-/// `sink(l, r)` for every matching pair, in the listing's order.
+/// `sink(l, r)` for every matching pair, in the listing's order. win1 and
+/// win2 point into the fired window, so only the pairs `sink` keeps are
+/// ever copied.
 template <typename L, typename R, typename Key, typename Sink>
 void cartesian_match(const WindowView<JoinSides<L, R>, Key>& w,
                      const std::function<bool(const L&, const R&)>& f_p,
                      Sink&& sink) {
-  std::vector<L> win1;
-  std::vector<R> win2;
+  std::vector<const L*> win1;
+  std::vector<const R*> win2;
   for (const Tuple<JoinSides<L, R>>& t : w.items) {
     if (t.value.from_left()) {
       for (const L& l : t.value.left) {
-        for (const R& r : win2) {
-          if (f_p(l, r)) sink(l, r);
+        for (const R* r : win2) {
+          if (f_p(l, *r)) sink(l, *r);
         }
-        win1.push_back(l);
+        win1.push_back(&l);
       }
     } else {
       for (const R& r : t.value.right) {
-        for (const L& l : win1) {
-          if (f_p(l, r)) sink(l, r);
+        for (const L* l : win1) {
+          if (f_p(*l, r)) sink(*l, r);
         }
-        win2.push_back(r);
+        win2.push_back(&r);
       }
     }
   }

@@ -5,8 +5,10 @@
 // instance to their user functions (DESIGN.md § 9).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <unordered_map>
 #include <utility>
@@ -20,13 +22,82 @@
 
 namespace aggspes {
 
+/// Non-owning, read-only, indexable range of one window instance's
+/// tuples in arrival order. It reads either a contiguous bucket
+/// (WindowMachine) or an array of pointers into pane cells
+/// (swa::ReplayPolicy); both yield `const Tuple<In>&`, so an f_O body does
+/// not depend on the machine that fired it. Nothing is copied: the view
+/// borrows the machine's state and is valid only for the duration of the
+/// fire (or `added`) call that handed it out. The machine's next add,
+/// advance, flush or evaluation may move or free what it points at, so
+/// copy out whatever must outlive the call.
+template <typename In>
+class TupleView {
+ public:
+  /// Forward iterator yielding `const Tuple<In>&`: all a range-for needs.
+  class iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = Tuple<In>;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const Tuple<In>*;
+    using reference = const Tuple<In>&;
+
+    iterator() = default;
+    reference operator*() const { return v_[i_]; }
+    pointer operator->() const { return &v_[i_]; }
+    iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    iterator operator++(int) {
+      iterator it = *this;
+      ++i_;
+      return it;
+    }
+    friend bool operator==(const iterator& a, const iterator& b) {
+      return a.i_ == b.i_;
+    }
+
+   private:
+    friend class TupleView;
+    iterator(TupleView v, std::size_t i) : v_(v), i_(i) {}
+    TupleView v_;
+    std::size_t i_{0};
+  };
+
+  TupleView() = default;
+  /// Over a contiguous run of tuples.
+  explicit TupleView(const std::vector<Tuple<In>>& items)
+      : data_(items.data()), n_(items.size()) {}
+  /// Over `n` tuples reached through `ptrs`, in that order.
+  TupleView(const Tuple<In>* const* ptrs, std::size_t n)
+      : ptrs_(ptrs), n_(n) {}
+
+  std::size_t size() const { return n_; }
+  bool empty() const { return n_ == 0; }
+  const Tuple<In>& operator[](std::size_t i) const {
+    return ptrs_ != nullptr ? *ptrs_[i] : data_[i];
+  }
+  const Tuple<In>& front() const { return (*this)[0]; }
+  const Tuple<In>& back() const { return (*this)[n_ - 1]; }
+  iterator begin() const { return {*this, 0}; }
+  iterator end() const { return {*this, n_}; }
+
+ private:
+  const Tuple<In>* data_{nullptr};
+  const Tuple<In>* const* ptrs_{nullptr};
+  std::size_t n_{0};
+};
+
 /// Read-only view of one window instance γ handed to user functions f_O.
+/// Like its `items`, it is valid only during the call that receives it.
 template <typename In, typename Key>
 struct WindowView {
-  Timestamp l;                          ///< γ.l, left boundary (inclusive)
-  Timestamp size;                       ///< WS; right boundary is l + WS
-  const Key& key;                       ///< f_K value shared by all items
-  const std::vector<Tuple<In>>& items;  ///< γ.ζ, in arrival order
+  Timestamp l;          ///< γ.l, left boundary (inclusive)
+  Timestamp size;       ///< WS; right boundary is l + WS
+  const Key& key;       ///< f_K value shared by all items
+  TupleView<In> items;  ///< γ.ζ, in arrival order
 };
 
 /// Window-state bookkeeping. The owner provides a `fire` callback invoked
@@ -35,8 +106,9 @@ struct WindowView {
 template <typename In, typename Key>
 class WindowMachine {
  public:
-  /// What a fire delivers: the instance's tuples in arrival order.
-  using Result = std::vector<Tuple<In>>;
+  /// What a fire delivers: a view of the instance's bucket, in arrival
+  /// order (valid for the duration of the call).
+  using Result = TupleView<In>;
   /// fire(l, key, items, is_late_update)
   using FireFn =
       std::function<void(Timestamp, const Key&, const Result&, bool)>;
@@ -79,7 +151,7 @@ class WindowMachine {
       if (instances_.size() > peak_instances_) {
         peak_instances_ = instances_.size();
       }
-      if (added) added(l, key, b.items);
+      if (added) added(l, key, Result(b.items));
       if (spec_.closes(l, w)) {
         // The instance's result was (or would have been) already produced:
         // emit an update right away.
@@ -89,7 +161,7 @@ class WindowMachine {
           ++late_updates_;
           if (late_probe_) late_probe_({l, t.ts, w, /*dropped=*/false});
         }
-        fire(l, key, b.items, update);
+        fire(l, key, Result(b.items), update);
       }
     });
   }
@@ -104,7 +176,7 @@ class WindowMachine {
         if (!bucket.fired) {
           bucket.fired = true;
           ++fired_instances_;
-          fire(l, key, bucket.items, false);
+          fire(l, key, Result(bucket.items), false);
         }
       }
       if (spec_.lateness == 0) {
@@ -130,7 +202,7 @@ class WindowMachine {
         if (!bucket.fired) {
           bucket.fired = true;
           ++fired_instances_;
-          fire(l, key, bucket.items, false);
+          fire(l, key, Result(bucket.items), false);
         }
       }
     }
@@ -199,11 +271,11 @@ class WindowMachine {
   void load(SnapshotReader& r) {
     instances_.clear();
     occupancy_ = 0;
-    const std::size_t n_instances = r.read_size();
+    const std::size_t n_instances = r.read_count();
     for (std::size_t i = 0; i < n_instances; ++i) {
       const Timestamp l = r.read_i64();
       auto& keys = instances_[l];
-      const std::size_t n_keys = r.read_size();
+      const std::size_t n_keys = r.read_count();
       for (std::size_t k = 0; k < n_keys; ++k) {
         Key key = read_value<Key>(r);
         Bucket b;
@@ -242,7 +314,7 @@ class WindowMachine {
 /// Largest wall-clock stamp among a window's items (latency metadata: an
 /// output is attributable to its most recent contributing ingress tuple).
 template <typename In>
-std::uint64_t max_stamp(const std::vector<Tuple<In>>& items) {
+std::uint64_t max_stamp(const TupleView<In>& items) {
   std::uint64_t s = 0;
   for (const auto& t : items) s = t.stamp > s ? t.stamp : s;
   return s;
@@ -262,9 +334,10 @@ template <typename In, typename Key, typename Result>
 struct FiredWindow;
 
 /// Tuple-holding machines (WindowMachine, swa::SlicedWindowMachine): f_O
-/// reads a WindowView, and an output carries the largest contributor stamp.
+/// reads a WindowView over the fired TupleView, and an output carries the
+/// largest contributor stamp.
 template <typename In, typename Key>
-struct FiredWindow<In, Key, std::vector<Tuple<In>>> {
+struct FiredWindow<In, Key, TupleView<In>> {
   template <typename R>
   using Fn = std::function<R(const WindowView<In, Key>&)>;
   using Hub = void;  ///< tuple windows are not served to StateQuery readers
@@ -272,10 +345,10 @@ struct FiredWindow<In, Key, std::vector<Tuple<In>>> {
 
   template <typename F>
   static auto apply(const F& f, Timestamp l, Timestamp size, const Key& key,
-                    const std::vector<Tuple<In>>& items) {
+                    const TupleView<In>& items) {
     return f(WindowView<In, Key>{l, size, key, items});
   }
-  static std::uint64_t stamp(const std::vector<Tuple<In>>& items) {
+  static std::uint64_t stamp(const TupleView<In>& items) {
     return max_stamp(items);
   }
 };

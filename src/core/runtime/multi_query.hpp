@@ -11,9 +11,9 @@
 //   * MultiQueryMonoidOp — f_O is a monoid shared by all queries, with a
 //     per-query `lower` step; fires are O(log P) range folds off one
 //     per-key tree (LatticeMonoidPolicy).
-//   * MultiQueryReplayOp — arbitrary per-query f_O over the instance's
-//     materialized tuples (ReplayPolicy), the fallback when f_O is not a
-//     monoid homomorphism.
+//   * MultiQueryReplayOp — arbitrary per-query f_O over a view of the
+//     instance's stored tuples (ReplayPolicy), the fallback when f_O is
+//     not a monoid homomorphism.
 //
 // Recovery: the snapshot codec is versioned (JoinOp precedent) and writes
 // the shared lattice once — a single barrier cut covers all Q queries.
@@ -46,7 +46,7 @@ struct MonoidQuery {
 };
 
 /// One registered replay query: its window spec plus an arbitrary f_O
-/// over the instance's materialized tuples.
+/// over a view of the instance's stored tuples.
 template <typename In, typename Out, typename Key>
 struct ReplayQuery {
   WindowSpec spec;
@@ -183,9 +183,9 @@ class MultiQueryMonoidOp final : public UnaryNode<In, Out> {
              const swa::WindowAggregate<Agg>& wa, bool) { fire(q, l, k, wa); };
 };
 
-/// Q arbitrary-f_O queries over one shared lattice: each fire materializes
-/// the instance's tuples (arrival order) and hands query q's f_O a
-/// WindowView — the replay fallback, exactly the buffering semantics.
+/// Q arbitrary-f_O queries over one shared lattice: each fire hands query
+/// q's f_O a WindowView over the instance's stored tuples, read in place
+/// in arrival order — the replay fallback, exactly the buffering semantics.
 template <typename In, typename Out, typename Key>
 class MultiQueryReplayOp final : public UnaryNode<In, Out> {
  public:
@@ -287,15 +287,12 @@ class MultiQueryReplayOp final : public UnaryNode<In, Out> {
     return specs;
   }
 
-  void fire(int q, Timestamp l, const Key& key,
-            const std::vector<Tuple<In>>& items) {
+  void fire(int q, Timestamp l, const Key& key, const TupleView<In>& items) {
     Query& query = queries_[static_cast<std::size_t>(q)];
     WindowView<In, Key> view{l, query.spec.size, key, items};
     if (std::optional<Out> o = query.f_o(view)) {
-      std::uint64_t stamp = 0;
-      for (const Tuple<In>& t : items) stamp = std::max(stamp, t.stamp);
-      outs_[static_cast<std::size_t>(q)].push_tuple(
-          Tuple<Out>{query.spec.output_ts(l), stamp, std::move(*o)});
+      outs_[static_cast<std::size_t>(q)].push_tuple(Tuple<Out>{
+          query.spec.output_ts(l), max_stamp(items), std::move(*o)});
     }
   }
 
@@ -306,10 +303,8 @@ class MultiQueryReplayOp final : public UnaryNode<In, Out> {
   Lattice lattice_;
   std::vector<Outlet<Out>> outs_;
   typename Lattice::FireFn fire_ =
-      [this](int q, Timestamp l, const Key& k,
-             const std::vector<Tuple<In>>& items, bool) {
-        fire(q, l, k, items);
-      };
+      [this](int q, Timestamp l, const Key& k, const TupleView<In>& items,
+             bool) { fire(q, l, k, items); };
 };
 
 }  // namespace aggspes

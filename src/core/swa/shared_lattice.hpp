@@ -343,11 +343,11 @@ class SharedLattice {
     occupancy_ = 0;
     pane_cache_ = nullptr;
     fast_valid_ = false;
-    const std::size_t n_panes = r.read_size();
+    const std::size_t n_panes = r.read_count();
     for (std::size_t i = 0; i < n_panes; ++i) {
       const Timestamp p = r.read_i64();
       auto& cells = panes_.mutate(p);
-      const std::size_t n_cells = r.read_size();
+      const std::size_t n_cells = r.read_count();
       for (std::size_t c = 0; c < n_cells; ++c) {
         Key key = read_value<Key>(r);
         auto cell = cells.emplace(std::move(key), policy_.load_cell(r));
@@ -355,7 +355,7 @@ class SharedLattice {
       }
     }
     next_seq_ = r.read_u64();
-    const std::size_t n_queries = r.read_size();
+    const std::size_t n_queries = r.read_count();
     if (n_queries != queries_.size()) {
       throw SnapshotError("SharedLattice snapshot holds " +
                           std::to_string(n_queries) + " queries, " +
@@ -363,11 +363,11 @@ class SharedLattice {
     }
     for (Query& qu : queries_) {
       qu.fired.clear();
-      const std::size_t n_fired = r.read_size();
+      const std::size_t n_fired = r.read_count();
       for (std::size_t i = 0; i < n_fired; ++i) {
         const Timestamp l = r.read_i64();
         auto& keys = qu.fired[l];
-        const std::size_t n_keys = r.read_size();
+        const std::size_t n_keys = r.read_count();
         for (std::size_t k = 0; k < n_keys; ++k) {
           Key key = read_value<Key>(r);
           const bool fired = r.read_bool();

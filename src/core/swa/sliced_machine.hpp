@@ -17,11 +17,11 @@
 //   * floor_div instance math, so negative timestamps land in the same
 //     instances and panes.
 //
-// The evaluation strategy is pluggable (Policy): ReplayPolicy materializes
-// an instance's tuples from its panes in global arrival order — the
-// fallback for arbitrary f_O — while MonoidPolicy (monoid_machine.hpp)
-// keeps per-pane partial aggregates and answers fires in amortized O(1)
-// via per-key two-stacks.
+// The evaluation strategy is pluggable (Policy): ReplayPolicy fires a
+// view that reads an instance's tuples in place, in global arrival order,
+// from the panes they were stored in — the fallback for arbitrary f_O —
+// while MonoidPolicy (monoid_machine.hpp) keeps per-pane partial
+// aggregates and answers fires in amortized O(1) via per-key two-stacks.
 //
 // Instance bookkeeping is O(1) per tuple: no per-instance state is touched
 // on the hot path. Completed instances are discovered by walking a cursor
@@ -40,6 +40,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/operators/window_machine.hpp"
 #include "core/recovery/snapshot.hpp"
 #include "core/runtime/overload.hpp"
 #include "core/swa/epoch.hpp"
@@ -54,11 +55,11 @@ template <typename In, typename Key, typename Policy>
 class SlicedEngine {
  public:
   using Cell = typename Policy::Cell;
-  /// What a fire delivers: materialized tuples (ReplayPolicy) or a
-  /// WindowAggregate (MonoidPolicy).
+  /// What a fire delivers: a TupleView over the stored tuples
+  /// (ReplayPolicy) or a WindowAggregate (MonoidPolicy).
   using Result = typename Policy::Result;
   /// fire(l, key, result, is_late_update) — same contract as
-  /// WindowMachine::FireFn, with Result in place of the items vector.
+  /// WindowMachine::FireFn.
   using FireFn =
       std::function<void(Timestamp, const Key&, const Result&, bool)>;
   /// added(l, key, result) — post-insert hook behind eager Aggregates.
@@ -376,22 +377,22 @@ class SlicedEngine {
     panes_.clear();
     fired_.clear();
     occupancy_ = 0;
-    const std::size_t n_panes = r.read_size();
+    const std::size_t n_panes = r.read_count();
     for (std::size_t i = 0; i < n_panes; ++i) {
       const Timestamp p = r.read_i64();
       auto& cells = panes_.mutate(p);
-      const std::size_t n_cells = r.read_size();
+      const std::size_t n_cells = r.read_count();
       for (std::size_t c = 0; c < n_cells; ++c) {
         Key key = read_value<Key>(r);
         auto cell = cells.emplace(std::move(key), policy_.load_cell(r));
         occupancy_ += Policy::cell_count(cell.first->second);
       }
     }
-    const std::size_t n_fired = r.read_size();
+    const std::size_t n_fired = r.read_count();
     for (std::size_t i = 0; i < n_fired; ++i) {
       const Timestamp l = r.read_i64();
       auto& keys = fired_[l];
-      const std::size_t n_keys = r.read_size();
+      const std::size_t n_keys = r.read_count();
       for (std::size_t k = 0; k < n_keys; ++k) {
         Key key = read_value<Key>(r);
         const bool fired = r.read_bool();
@@ -691,34 +692,36 @@ class SlicedEngine {
 
 /// The replay fallback for arbitrary f_O: pane cells hold the tuples
 /// themselves (each stored once, tagged with a global arrival sequence
-/// number), and evaluation materializes an instance's contents in arrival
-/// order — so fire payloads are element-for-element identical to the
-/// buffering backend's item vectors.
+/// number), and evaluation gathers pointers to an instance's entries and
+/// sorts them into arrival order. A fire hands f_O a TupleView over those
+/// pointers — the tuples are read in place, never copied — so fire
+/// payloads are element-for-element identical to the buffering backend's
+/// buckets. The view lives until the next evaluate() or store.
 template <typename In>
 class ReplayPolicy {
  public:
-  struct Entry {
+  /// A stored tuple and its arrival sequence number.
+  struct Entry : Tuple<In> {
     std::uint64_t seq{0};
-    Tuple<In> t;
   };
   struct Cell {
     std::vector<Entry> entries;
   };
-  using Result = std::vector<Tuple<In>>;
+  using Result = TupleView<In>;
 
   template <typename Key>
   void absorb(const Key& /*key*/, Cell& c, Timestamp, const Tuple<In>& t,
               std::uint64_t seq) {
-    c.entries.push_back({seq, t});
+    c.entries.push_back(Entry{t, seq});
   }
 
   /// Tuples a cell contributes to the engine's occupancy diagnostics.
   static std::size_t cell_count(const Cell& c) { return c.entries.size(); }
 
   template <typename PaneMap, typename Key>
-  const Result& evaluate(const PaneMap& panes, const WindowSpec& spec,
-                         const PaneGeometry&, Timestamp l, const Key& key,
-                         bool /*sequential*/) {
+  Result evaluate(const PaneMap& panes, const WindowSpec& spec,
+                  const PaneGeometry&, Timestamp l, const Key& key,
+                  bool /*sequential*/) {
     scratch_.clear();
     const Timestamp end = l + spec.size;
     for (auto it = panes.lower_bound(l); it != panes.end() && it->first < end;
@@ -728,13 +731,14 @@ class ReplayPolicy {
       for (const Entry& e : cell->second.entries) scratch_.push_back(&e);
     }
     // Panes are time-ordered but arrival interleaves across panes; the seq
-    // tags restore global arrival order.
+    // tags restore global arrival order. Every pointer in scratch_ points
+    // at an Entry, so the downcast is exact.
     std::sort(scratch_.begin(), scratch_.end(),
-              [](const Entry* a, const Entry* b) { return a->seq < b->seq; });
-    result_.clear();
-    result_.reserve(scratch_.size());
-    for (const Entry* e : scratch_) result_.push_back(e->t);
-    return result_;
+              [](const Tuple<In>* a, const Tuple<In>* b) {
+                return static_cast<const Entry*>(a)->seq <
+                       static_cast<const Entry*>(b)->seq;
+              });
+    return Result(scratch_.data(), scratch_.size());
   }
 
   void reset() {}
@@ -745,26 +749,24 @@ class ReplayPolicy {
     w.write_size(c.entries.size());
     for (const Entry& e : c.entries) {
       w.write_u64(e.seq);
-      write_value(w, e.t);
+      write_value(w, static_cast<const Tuple<In>&>(e));
     }
   }
 
   Cell load_cell(SnapshotReader& r) const {
     Cell c;
-    const std::size_t n = r.read_size();
+    const std::size_t n = r.read_count();
     c.entries.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      Entry e;
-      e.seq = r.read_u64();
-      e.t = read_value<Tuple<In>>(r);
-      c.entries.push_back(std::move(e));
+      const std::uint64_t seq = r.read_u64();
+      c.entries.push_back(Entry{read_value<Tuple<In>>(r), seq});
     }
     return c;
   }
 
  private:
-  std::vector<const Entry*> scratch_;
-  Result result_;
+  /// The last evaluated instance's entries, in arrival order.
+  std::vector<const Tuple<In>*> scratch_;
 };
 
 /// Drop-in WindowMachine replacement: same constructor shape, same FireFn

@@ -5,6 +5,7 @@
 // oracle anchors both.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <random>
 #include <set>
 #include <tuple>
@@ -185,8 +186,11 @@ TEST(JoinEquivalence, OneSidedStream) {
 
 // Property sweep: Theorem 2 over seeds × window shapes × key skew ×
 // predicate selectivity.
+// gtest names each case by the struct's raw bytes, so the layout must have
+// no padding: a 64-bit seed keeps every byte initialised and the names
+// stable across builds and environments.
 struct SweepCase {
-  int seed;
+  std::int64_t seed;
   Timestamp wa;
   Timestamp ws;
   int keys;     // smaller = more skew per key

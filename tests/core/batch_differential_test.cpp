@@ -294,7 +294,11 @@ TEST(BatchDifferential, UntaggedNonCommutativeMonoidStaysScalarAndMatches) {
   // kernel or reorder shows up as a value mismatch.
   Monoid<int, long long> m{
       0, [](const int& v) { return static_cast<long long>(v); },
-      [](const long long& a, const long long& b) { return a * 31 + b; }};
+      [](const long long& a, const long long& b) {
+        // Wraps in unsigned arithmetic: a signed overflow would be UB.
+        return static_cast<long long>(static_cast<unsigned long long>(a) * 31u +
+                                      static_cast<unsigned long long>(b));
+      }};
   ASSERT_EQ(m.kind, MonoidKind::kGeneric);
   ASSERT_FALSE(m.commutative);
   check_both_policies(m, "untagged", false);

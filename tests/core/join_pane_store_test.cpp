@@ -268,8 +268,7 @@ TEST(LateProbeReset, RestartsTheRateLimitWindow) {
 TEST(WindowMachineDiagnostics, OccupancyTracksBufferedTuplesAndResets) {
   WindowMachine<int, int> m(WindowSpec{.advance = 2, .size = 6},
                             [](const int&) { return 0; });
-  auto fire = [](Timestamp, const int&, const std::vector<Tuple<int>>&,
-                 bool) {};
+  auto fire = [](Timestamp, const int&, const TupleView<int>&, bool) {};
   // Each tuple lands in WS/WA = 3 instances -> 3 buffered copies.
   m.add(Tuple<int>{10, 0, 1}, kMinTimestamp, fire);
   EXPECT_EQ(m.occupancy(), 3u);

@@ -196,7 +196,7 @@ TEST(WindowMachineShedding, ShedsAtAdmissionUnderOverload) {
   });
   wm.set_shedder(&shed);
   int fired = 0;
-  const auto fire = [&](Timestamp, const int&, const std::vector<Tuple<int>>&,
+  const auto fire = [&](Timestamp, const int&, const TupleView<int>&,
                         bool) { ++fired; };
   for (int i = 0; i < 20; ++i) {
     wm.add({i, 0, i}, kMinTimestamp, fire);
@@ -223,7 +223,7 @@ TEST(SlicedEngineShedding, ShedsAtAdmissionUnderOverload) {
                                          [](int v) { return v % 2; });
   eng.set_shedder(&shed);
   int fired = 0;
-  const auto fire = [&](Timestamp, const int&, const std::vector<Tuple<int>>&,
+  const auto fire = [&](Timestamp, const int&, const TupleView<int>&,
                         bool) { ++fired; };
   for (int i = 0; i < 20; ++i) eng.add({i, 0, i}, kMinTimestamp, fire);
   EXPECT_EQ(eng.shed(), 20u);

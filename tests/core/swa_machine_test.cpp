@@ -222,7 +222,7 @@ TEST(SlicedReplay, MaterializesInArrivalOrderAcrossPanes) {
             [](const int&) { return 0; });
   std::vector<std::vector<int>> payloads;
   SlicedM::FireFn fire = [&](Timestamp, const int&,
-                             const std::vector<Tuple<int>>& items, bool) {
+                             const TupleView<int>& items, bool) {
     std::vector<int> vals;
     for (const auto& t : items) vals.push_back(t.value);
     payloads.push_back(std::move(vals));
@@ -245,7 +245,7 @@ TEST(SlicedReplay, TupleStoredOncePerPane) {
   SlicedM m(WindowSpec{.advance = 5, .size = 15},
             [](const int&) { return 0; });
   SlicedM::FireFn fire = [](Timestamp, const int&,
-                            const std::vector<Tuple<int>>&, bool) {};
+                            const TupleView<int>&, bool) {};
   m.add({12, 0, 1}, kMinTimestamp, fire);  // overlaps 3 instances, 1 pane
   EXPECT_EQ(m.open_panes(), 1u);
   EXPECT_EQ(m.open_instances(), 3u);

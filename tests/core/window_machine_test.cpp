@@ -25,7 +25,7 @@ class MachineFixture : public ::testing::Test {
 
   WindowMachine<int, int>::FireFn recorder() {
     return [this](Timestamp l, const int& key,
-                  const std::vector<Tuple<int>>& items, bool update) {
+                  const TupleView<int>& items, bool update) {
       fired_.push_back({l, key, items.size(), update});
     };
   }
@@ -99,8 +99,7 @@ TEST_F(MachineFixture, FlushFiresEverythingUnfired) {
 TEST_F(MachineFixture, AddedHookSeesEachInsertion) {
   auto fire = recorder();
   std::vector<std::pair<Timestamp, std::size_t>> added;
-  auto hook = [&](Timestamp l, const int&,
-                  const std::vector<Tuple<int>>& items) {
+  auto hook = [&](Timestamp l, const int&, const TupleView<int>& items) {
     added.emplace_back(l, items.size());
   };
   machine_.add(tup(1, 2), kMinTimestamp, fire, hook);
@@ -113,7 +112,7 @@ TEST_F(MachineFixture, AddedHookSeesEachInsertion) {
 TEST_F(MachineFixture, AddedHookNotCalledForDroppedTuples) {
   auto fire = recorder();
   int hook_calls = 0;
-  auto hook = [&](Timestamp, const int&, const std::vector<Tuple<int>>&) {
+  auto hook = [&](Timestamp, const int&, const TupleView<int>&) {
     ++hook_calls;
   };
   machine_.advance(15, fire);
@@ -127,7 +126,7 @@ TEST(WindowMachineSliding, TupleEntersEveryOverlappingInstance) {
                             [](const int&) { return 0; });
   std::vector<Timestamp> fired_at;
   WindowMachine<int, int>::FireFn fire =
-      [&](Timestamp l, const int&, const std::vector<Tuple<int>>&, bool) {
+      [&](Timestamp l, const int&, const TupleView<int>&, bool) {
         fired_at.push_back(l);
       };
   m.add({12, 0, 1}, kMinTimestamp, fire);
@@ -154,7 +153,7 @@ TEST_F(MachineFixture, LateProbeIsRateLimited) {
 
 TEST(WindowMachineStamp, MaxStampHelper) {
   std::vector<Tuple<int>> items{{0, 5, 1}, {1, 9, 2}, {2, 7, 3}};
-  EXPECT_EQ(max_stamp(items), 9u);
+  EXPECT_EQ(max_stamp(TupleView<int>(items)), 9u);
   EXPECT_EQ(max_stamp<int>({}), 0u);
 }
 

@@ -7,6 +7,8 @@
 // version byte, then the machine's save() — and rejects any other byte.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <set>
 #include <string>
@@ -17,6 +19,7 @@
 #include "core/operators/sink.hpp"
 #include "core/operators/source.hpp"
 #include "core/swa/monoid_machine.hpp"
+#include "core/swa/shared_lattice.hpp"
 #include "core/swa/sliced_machine.hpp"
 #include "machine_matrix.hpp"
 
@@ -246,6 +249,61 @@ TEST(SwaSnapshot, UnknownCodecVersionIsRejected) {
       }
     }
   });
+}
+
+// --- hostile cuts -----------------------------------------------------------
+
+// Every count a window-state decoder reads is bounded by the bytes left, so
+// an inflated one raises SnapshotError (which CheckpointStore falls back
+// from) before anything is allocated for it — never length_error or
+// bad_alloc.
+constexpr std::size_t kInflated = std::size_t{1} << 60;
+
+SnapshotWriter::Bytes inflated_after(std::initializer_list<std::int64_t> head) {
+  SnapshotWriter w;
+  for (std::int64_t v : head) w.write_i64(v);
+  w.write_size(kInflated);
+  w.write_u64(0);  // a few trailing bytes, far fewer than the count claims
+  return w.take();
+}
+
+TEST(SwaSnapshot, ReplayCellWithInflatedEntryCountIsRejected) {
+  const auto bytes = inflated_after({});
+  SnapshotReader r(bytes);
+  EXPECT_THROW(swa::ReplayPolicy<int>{}.load_cell(r), SnapshotError);
+}
+
+TEST(SwaSnapshot, SlicedEngineWithInflatedCountsIsRejected) {
+  // Pane count, then (one pane at 4) its cell count, then (no panes) the
+  // fired-flag count.
+  for (const auto& bytes : {inflated_after({}), inflated_after({1, 4}),
+                            inflated_after({0})}) {
+    swa::SlicedWindowMachine<int, int> m(kSpec, [](const int& v) { return v; });
+    SnapshotReader r(bytes);
+    EXPECT_THROW(m.load(r), SnapshotError);
+  }
+}
+
+TEST(SwaSnapshot, WindowMachineWithInflatedCountsIsRejected) {
+  // Instance count, then (one instance at 0) its key count.
+  for (const auto& bytes : {inflated_after({}), inflated_after({1, 0})}) {
+    WindowMachine<int, int> m(kSpec, [](const int& v) { return v; });
+    SnapshotReader r(bytes);
+    EXPECT_THROW(m.load(r), SnapshotError);
+  }
+}
+
+TEST(SwaSnapshot, SharedLatticeWithInflatedCountsIsRejected) {
+  // Pane count, then (one pane at 4) its cell count, then (no panes, seq
+  // cursor 0) the query count, then (one query) its fired-flag count.
+  for (const auto& bytes :
+       {inflated_after({}), inflated_after({1, 4}), inflated_after({0, 0}),
+        inflated_after({0, 0, 1})}) {
+    swa::ReplayLattice<int, int> lattice({kSpec},
+                                         [](const int& v) { return v; });
+    SnapshotReader r(bytes);
+    EXPECT_THROW(lattice.load(r), SnapshotError);
+  }
 }
 
 }  // namespace
