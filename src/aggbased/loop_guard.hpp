@@ -71,13 +71,13 @@ class C2Guard final : public UnaryNode<Embedded<T>, Embedded<T>> {
     this->load_base(r);
     bound_ = r.read_i64();
     succ_.clear();
-    const std::size_t n_succ = r.read_size();
+    const std::size_t n_succ = r.read_count();
     for (std::size_t i = 0; i < n_succ; ++i) {
       const Timestamp ts = r.read_i64();
       succ_[ts] = r.read_i64();
     }
     pending_.clear();
-    const std::size_t n_pending = r.read_size();
+    const std::size_t n_pending = r.read_count();
     for (std::size_t i = 0; i < n_pending; ++i) {
       pending_.push_back(r.read_i64());
     }
@@ -89,7 +89,7 @@ class C2Guard final : public UnaryNode<Embedded<T>, Embedded<T>> {
     // drains and they reach A1 ahead of any replayed source element.
     if (r.read_bool()) {
       if constexpr (kSerializable) {
-        const std::size_t n = r.read_size();
+        const std::size_t n = r.read_count();
         std::vector<Tuple<Env>> logged;
         logged.reserve(n);
         for (std::size_t i = 0; i < n; ++i) {
@@ -267,7 +267,7 @@ class C3Guard final : public UnaryNode<Embedded<T>, Embedded<T>> {
   void restore_from(SnapshotReader& r) override {
     this->load_base(r);
     succ_.clear();
-    const std::size_t n_succ = r.read_size();
+    const std::size_t n_succ = r.read_count();
     for (std::size_t i = 0; i < n_succ; ++i) {
       const Timestamp ts = r.read_i64();
       succ_[ts] = r.read_i64();

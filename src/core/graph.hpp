@@ -152,6 +152,18 @@ class NodeBase {
   /// Restores state produced by snapshot_to. Called before threads start.
   virtual void restore_from(SnapshotReader&) {}
 
+  /// Restores from one checkpoint record, which restore_from must read to
+  /// the last byte: a record with bytes left over is not a layout this
+  /// node writes.
+  void restore_record(const SnapshotWriter::Bytes& bytes) {
+    SnapshotReader r(bytes);
+    restore_from(r);
+    if (!r.exhausted()) {
+      throw SnapshotError("record has " + std::to_string(r.remaining()) +
+                          " unread bytes");
+    }
+  }
+
   /// Current combined watermark, for watchdog diagnostics (kMinTimestamp
   /// for nodes without watermark bookkeeping).
   virtual Timestamp node_watermark() const { return kMinTimestamp; }

@@ -18,14 +18,10 @@
 // payload is stored once instead of WS/WA times, and an arrival costs
 // O(WS/WA) list lookups however many panes an instance spans.
 //
-// Snapshot codec: versioned. Version 2 persists the pane store; the
-// pre-pane layout (whose first post-base byte was a has_state bool of 0/1,
-// disjoint from version tags >= 2) is read as version 1 and migrated: each
-// tuple of the per-instance snapshot is accepted from the first live
-// instance containing it and dropped from later ones. Per-(instance, key)
-// arrival order of each side is preserved; the exact cross-instance
-// interleaving is not recorded in the legacy format and is reconstructed
-// in instance order.
+// Snapshot codec: version 2 persists the pane store; version 0 marks a
+// payload without a StateCodec. Any other tag — including the per-instance
+// layout of BufferingJoinOp, whose first post-base byte is has_state = 1 —
+// is rejected.
 #pragma once
 
 #include <cstdint>
@@ -94,15 +90,12 @@ class JoinOp final : public BinaryNode<L, R, std::pair<L, R>> {
     this->load_base(r);
     const std::uint8_t version = r.read_pod<std::uint8_t>();
     if (version == 0) return;  // snapshot taken without a codec
+    if (version != kCodecVersion) {
+      throw SnapshotError("unknown JoinOp codec version " +
+                          std::to_string(version));
+    }
     if constexpr (kSerializable) {
-      if (version == 1) {
-        migrate_per_instance(r);
-      } else if (version == kCodecVersion) {
-        store_.load(r, this->watermark());
-      } else {
-        throw SnapshotError("unknown JoinOp codec version " +
-                            std::to_string(version));
-      }
+      store_.load(r, this->watermark());
       comparisons_ = r.read_u64();
       dropped_late_ = r.read_u64();
     } else {
@@ -171,41 +164,6 @@ class JoinOp final : public BinaryNode<L, R, std::pair<L, R>> {
       }
       fn(l);
     });
-  }
-
-  /// Reads a version-1 (per-instance) snapshot into the pane store. The
-  /// legacy layout stores a tuple once per live instance containing it;
-  /// live instances form a suffix of the instance sequence and stream in
-  /// ascending order, so a tuple's first appearance is in the earliest
-  /// live instance containing it: accept it there — i.e. when the
-  /// previously processed instance precedes first_instance(ts) — and skip
-  /// the later duplicates.
-  void migrate_per_instance(SnapshotReader& r) {
-    store_.clear(this->watermark());
-    bool have_prev = false;
-    Timestamp prev_l = 0;
-    const std::size_t n_instances = r.read_count();
-    for (std::size_t i = 0; i < n_instances; ++i) {
-      const Timestamp l = r.read_i64();
-      const std::size_t n_keys = r.read_count();
-      for (std::size_t k = 0; k < n_keys; ++k) {
-        Key key = read_value<Key>(r);
-        auto lefts = read_value<std::vector<Tuple<L>>>(r);
-        auto rights = read_value<std::vector<Tuple<R>>>(r);
-        for (const Tuple<L>& t : lefts) {
-          if (!have_prev || prev_l < spec_.first_instance(t.ts)) {
-            store_.add_left(key, t);
-          }
-        }
-        for (const Tuple<R>& t : rights) {
-          if (!have_prev || prev_l < spec_.first_instance(t.ts)) {
-            store_.add_right(key, t);
-          }
-        }
-      }
-      have_prev = true;
-      prev_l = l;
-    }
   }
 
   void emit(Timestamp l, const Tuple<L>& a, const Tuple<R>& b) {

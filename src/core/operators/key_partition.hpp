@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -68,10 +69,7 @@ class KeySplitter final : public NodeBase {
     for (auto& c : routed_) c = 0;
   }
 
-  /// Checkpoint codec v2: [u8 version][per-output routed counters]. v1 —
-  /// the stateless splitter — recorded empty bytes; restoring such a
-  /// snapshot keeps the counters at zero (post-restore diagnostics then
-  /// count from the cut, which is what a rebuilt flow reports anyway).
+  /// Checkpoint codec v2: [u8 version][per-output routed counters].
   static constexpr std::uint8_t kCodecVersion = 2;
 
   void snapshot_to(SnapshotWriter& w) const override {
@@ -81,13 +79,12 @@ class KeySplitter final : public NodeBase {
   }
 
   void restore_from(SnapshotReader& r) override {
-    if (r.remaining() == 0) return;  // v1: stateless splitter
     const auto version = r.read_pod<std::uint8_t>();
     if (version != kCodecVersion) {
       throw SnapshotError("KeySplitter: unknown codec version " +
                           std::to_string(version));
     }
-    const std::size_t n = r.read_size();
+    const std::size_t n = r.read_count();
     if (n != routed_.size()) {
       throw SnapshotError("KeySplitter: output count mismatch in snapshot");
     }
@@ -137,7 +134,15 @@ class RoundRobinSplitter final : public NodeBase {
   void snapshot_to(SnapshotWriter& w) const override {
     w.write_size(next_);
   }
-  void restore_from(SnapshotReader& r) override { next_ = r.read_size(); }
+  void restore_from(SnapshotReader& r) override {
+    const std::size_t next = r.read_size();
+    if (next >= outs_.size()) {
+      throw SnapshotError("RoundRobinSplitter: cursor " +
+                          std::to_string(next) + " out of " +
+                          std::to_string(outs_.size()) + " outputs");
+    }
+    next_ = next;
+  }
 
  private:
   void receive(const Element<T>& e) {

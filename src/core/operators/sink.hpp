@@ -70,7 +70,7 @@ class CollectorSink final : public NodeBase {
       if (!has_state) return;
       tuples_ = read_value<std::vector<Tuple<T>>>(r);
       watermarks_.clear();
-      const std::size_t n = r.read_size();
+      const std::size_t n = r.read_count();
       for (std::size_t i = 0; i < n; ++i) watermarks_.push_back(r.read_i64());
       last_wm_ = r.read_i64();
       ended_ = r.read_bool();

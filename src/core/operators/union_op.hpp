@@ -60,9 +60,7 @@ class UnionOp final : public NodeBase {
 
   /// Checkpoint codec v1: [u8 version][combiner][ended flags][ends_seen].
   /// The ended flags travel with the watermark slots because a restored
-  /// union must keep excluding finished inputs from the min-merge; the
-  /// legacy (pre-sharding) UnionOp was stateless and recorded empty bytes,
-  /// migrated here as "nothing ended, all slots at kMinTimestamp".
+  /// union must keep excluding finished inputs from the min-merge.
   static constexpr std::uint8_t kCodecVersion = 1;
 
   void snapshot_to(SnapshotWriter& w) const override {
@@ -74,14 +72,13 @@ class UnionOp final : public NodeBase {
   }
 
   void restore_from(SnapshotReader& r) override {
-    if (r.remaining() == 0) return;  // legacy stateless snapshot
     const auto version = r.read_pod<std::uint8_t>();
     if (version != kCodecVersion) {
       throw SnapshotError("UnionOp: unknown codec version " +
                           std::to_string(version));
     }
     combiner_.load(r);
-    const std::size_t n = r.read_size();
+    const std::size_t n = r.read_count();
     if (n != ended_.size()) {
       throw SnapshotError("UnionOp: input count mismatch in snapshot");
     }

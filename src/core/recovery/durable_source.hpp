@@ -29,9 +29,7 @@
 // committed cut is always durable, and the (id → seqno) pair is noted on
 // the log for the supervisor's retention pass.
 //
-// Snapshot codec v3 ([u8=3][cursor][next_marker][durable-at-commit]),
-// migrating v2 ([u8=2][cursor][next_marker], the versioned ReplaySource
-// layout) and the legacy unversioned 16-byte layout — see restore_from.
+// Snapshot codec v3: [u8=3][cursor][next_marker][durable-at-commit].
 #pragma once
 
 #include <cstdint>
@@ -219,31 +217,19 @@ class DurableSource final : public NodeBase {
     w.write_u64(log_.durable_seqno());
   }
 
-  /// Accepts v3, migrates v2 ([u8=2][cursor][next_marker]) and the legacy
-  /// unversioned ReplaySource layout ([cursor][next_marker], exactly 16
-  /// bytes). The legacy layout is disambiguated by length, not by peeking
-  /// at the first byte — a small cursor's low byte could collide with any
-  /// version tag, but no versioned layout is 16 bytes long.
   void restore_from(SnapshotReader& r) override {
-    if (r.remaining() == 16) {
-      cursor_ = r.read_size();
-      next_marker_ = r.read_u64();
-      return;
-    }
     const auto version = r.read_pod<std::uint8_t>();
-    if (version != 2 && version != kCodecVersion) {
+    if (version != kCodecVersion) {
       throw SnapshotError("DurableSource: unknown codec version " +
                           std::to_string(version));
     }
     cursor_ = r.read_size();
     next_marker_ = r.read_u64();
-    if (version == kCodecVersion) {
-      durable_at_commit_ = r.read_u64();
-    }
+    durable_at_commit_ = r.read_u64();
   }
 
   /// Durable frontier recorded by the checkpoint this source was restored
-  /// from (0 when restored from a migrated v2/legacy snapshot).
+  /// from (0 when it started fresh).
   std::uint64_t durable_at_commit() const { return durable_at_commit_; }
 
   void fail_downstream() override { out_.push_end(); }

@@ -63,9 +63,8 @@ class ReplaySource final : public NodeBase {
 
   /// Checkpoint codec v2: [u8 version][cursor][next_marker] — the
   /// committed cursor plus the next marker id (so a restored source
-  /// continues the id sequence instead of reusing ids). v1 was the
-  /// unversioned 16-byte [cursor][next_marker] layout; DurableSource's v3
-  /// extends v2 with the durable frontier.
+  /// continues the id sequence instead of reusing ids). DurableSource's
+  /// v3 extends it with the durable frontier.
   static constexpr std::uint8_t kCodecVersion = 2;
 
   void snapshot_to(SnapshotWriter& w) const override {
@@ -74,15 +73,7 @@ class ReplaySource final : public NodeBase {
     w.write_u64(next_marker_);
   }
 
-  /// Migrates the legacy unversioned layout by *length* (exactly 16
-  /// bytes), not by peeking at the first byte: a small cursor's low byte
-  /// could equal any version tag, but no versioned layout is 16 bytes.
   void restore_from(SnapshotReader& r) override {
-    if (r.remaining() == 16) {
-      cursor_ = r.read_size();
-      next_marker_ = r.read_u64();
-      return;
-    }
     const auto version = r.read_pod<std::uint8_t>();
     if (version != kCodecVersion) {
       throw SnapshotError("ReplaySource: unknown codec version " +

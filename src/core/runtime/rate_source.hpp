@@ -12,7 +12,6 @@
 #include <utility>
 
 #include "core/graph.hpp"
-#include "core/recovery/input_log.hpp"
 #include "core/runtime/metrics.hpp"
 #include "core/runtime/overload.hpp"
 #include "core/types.hpp"
@@ -47,15 +46,6 @@ class RateSource final : public NodeBase {
   /// watermarks keep flowing so downstream event time stays well-defined.
   /// Must be set before run(); the shedder must outlive the run.
   void set_shedder(Shedder* shedder) { shedder_ = shedder; }
-
-  /// Durable ingestion (RunConfig durability knobs): every admitted tuple
-  /// is appended to `log` *before* it is emitted — the ack-then-emit
-  /// ordering of DurableSource — with the fsync batched by the log's
-  /// group-commit setting. The log must outlive the run. The payload is
-  /// WAL-encoded through its StateCodec when it has one, else an 8-byte
-  /// digest stands in (the bench only needs representative frame sizes,
-  /// not replayability, on codec-less payloads).
-  void set_durable(InputLog* log) { wal_ = log; }
 
   /// Tuples emitted so far (sampled by the harness for throughput).
   std::uint64_t emitted() const {
@@ -115,11 +105,9 @@ class RateSource final : public NodeBase {
                            last_wm_.load(std::memory_order_relaxed))) {
         continue;  // shed at admission: counted by the shedder, never sent
       }
-      if (wal_ != nullptr) append_durable(val, ts, i);
       out_.push_tuple(Tuple<T>{ts, start + sched_ns, std::move(val)});
       emitted_.fetch_add(1, std::memory_order_relaxed);
     }
-    if (wal_ != nullptr) wal_->sync();  // close the last group commit
     // Close every window of interest: step watermarks (C1) past the end.
     const auto end_ts = static_cast<Timestamp>(
         cfg_.duration_s * static_cast<double>(cfg_.ticks_per_s));
@@ -139,19 +127,6 @@ class RateSource final : public NodeBase {
     last_wm_.store(wm, std::memory_order_relaxed);
   }
 
-  /// WAL append of one admitted tuple (ack-before-emit). Codec payloads
-  /// serialize for real; others log a fixed 8-byte digest.
-  void append_durable(const T& val, Timestamp ts, std::uint64_t i) {
-    SnapshotWriter w;
-    w.write_i64(ts);
-    if constexpr (SnapshotSerializable<T>) {
-      write_value(w, val);
-    } else {
-      w.write_u64(splitmix64(i));
-    }
-    wal_->append(w.bytes().data(), w.bytes().size());
-  }
-
   /// Shed-decision key: the tuple's value when it hashes (keyed policies
   /// then see the real key distribution), else the emission index.
   static std::uint64_t key_hash(const T& val, std::uint64_t i) {
@@ -166,7 +141,6 @@ class RateSource final : public NodeBase {
   Generator gen_;
   Outlet<T> out_;
   Shedder* shedder_{nullptr};
-  InputLog* wal_{nullptr};
   std::atomic<std::uint64_t> emitted_{0};
   std::atomic<std::uint64_t> emission_ns_{0};
   std::atomic<std::uint64_t> cutoff_fired_{0};

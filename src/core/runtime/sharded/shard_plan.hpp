@@ -40,7 +40,6 @@ struct ShardStats {
   FlowHealth health{FlowHealth::kHealthy};  ///< worst health observed
   std::size_t peak_stored{0};    ///< peak tuples/partials held by the shard
   std::size_t peak_panes{0};     ///< peak open panes/instances
-  std::uint64_t wal_records{0};  ///< records in the shard's WAL partition
 };
 
 /// Maps flow node indices to shard ownership and names shard-local WAL

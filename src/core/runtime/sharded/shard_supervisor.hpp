@@ -132,8 +132,7 @@ ShardRepairReport<Out> repair_shard(ShardedFlow<In, Out, Key>& sf, int shard,
     const std::vector<std::size_t>& ops = sf.op_indices(shard);
     for (std::size_t k = 0; k < ops.size() && k < ep.nodes.size(); ++k) {
       if (auto bytes = store.find(ops[k], *rep.restored_checkpoint)) {
-        SnapshotReader r(*bytes);
-        ep.nodes[k]->restore_from(r);
+        ep.nodes[k]->restore_record(*bytes);
       }
     }
     // The tap is the exactly-once device: rewinding it to the cut
@@ -141,8 +140,7 @@ ShardRepairReport<Out> repair_shard(ShardedFlow<In, Out, Key>& sf, int shard,
     // which is precisely what the replay is about to regrow.
     if (auto bytes =
             store.find(sf.tap_index(shard), *rep.restored_checkpoint)) {
-      SnapshotReader r(*bytes);
-      sink.restore_from(r);
+      sink.restore_record(*bytes);
     }
   }
 

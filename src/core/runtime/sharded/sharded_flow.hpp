@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -72,7 +73,10 @@ class ShardIngress final : public UnaryNode<T, T> {
         shedder_(shedder),
         wal_(wal) {
     if constexpr (!SnapshotSerializable<T>) {
-      assert(wal_ == nullptr && "non-serializable payloads cannot be durable");
+      if (wal_ != nullptr) {
+        throw std::invalid_argument(
+            "ShardIngress: a WAL needs a payload with a StateCodec");
+      }
     }
   }
 
@@ -81,27 +85,21 @@ class ShardIngress final : public UnaryNode<T, T> {
   /// Elements appended to the shard WAL so far (the replay cursor).
   std::uint64_t logged() const { return seq_; }
 
-  /// Checkpoint codec v1: [u8 version][combiner][seq][routed]. The
-  /// pre-sharding admission path had no ingress node, so there is no
-  /// legacy layout to migrate beyond empty bytes (stateless default).
-  static constexpr std::uint8_t kCodecVersion = 1;
+  /// Checkpoint codec v2: [u8 version][seq][combiner][routed]. The
+  /// cursor leads so decode_logged reads it without knowing the
+  /// combiner's layout.
+  static constexpr std::uint8_t kCodecVersion = 2;
 
   void snapshot_to(SnapshotWriter& w) const override {
     w.write_pod(kCodecVersion);
-    this->save_base(w);
     w.write_u64(seq_);
+    this->save_base(w);
     w.write_u64(routed_);
   }
 
   void restore_from(SnapshotReader& r) override {
-    if (r.remaining() == 0) return;
-    const auto version = r.read_pod<std::uint8_t>();
-    if (version != kCodecVersion) {
-      throw SnapshotError("ShardIngress: unknown codec version " +
-                          std::to_string(version));
-    }
+    seq_ = read_seq(r);
     this->load_base(r);
-    seq_ = r.read_u64();
     routed_ = r.read_u64();
   }
 
@@ -109,17 +107,8 @@ class ShardIngress final : public UnaryNode<T, T> {
   /// without needing a live node: the supervisor reads the failed shard's
   /// cut cursor straight from the CheckpointStore.
   static std::uint64_t decode_logged(const SnapshotWriter::Bytes& bytes) {
-    if (bytes.empty()) return 0;
     SnapshotReader r(bytes);
-    const auto version = r.read_pod<std::uint8_t>();
-    if (version != kCodecVersion) {
-      throw SnapshotError("ShardIngress: unknown codec version " +
-                          std::to_string(version));
-    }
-    // Skip the combiner: [port count][per-port i64...][combined i64].
-    const std::size_t ports = r.read_size();
-    for (std::size_t i = 0; i <= ports; ++i) r.read_i64();
-    return r.read_u64();
+    return read_seq(r);
   }
 
  protected:
@@ -156,6 +145,15 @@ class ShardIngress final : public UnaryNode<T, T> {
   }
 
  private:
+  static std::uint64_t read_seq(SnapshotReader& r) {
+    const auto version = r.read_pod<std::uint8_t>();
+    if (version != kCodecVersion) {
+      throw SnapshotError("ShardIngress: unknown codec version " +
+                          std::to_string(version));
+    }
+    return r.read_u64();
+  }
+
   void append(const Element<T>& e) {
     if constexpr (SnapshotSerializable<T>) {
       if (wal_ == nullptr) return;
@@ -221,9 +219,16 @@ class ShardedFlow {
   template <typename FlowT, typename FactoryT>
   ShardedFlow(FlowT& flow, int shards, Options opts, FactoryT&& factory)
       : plan_(shards), opts_(std::move(opts)) {
-    assert(shards >= 1);
-    assert(opts_.wals.empty() ||
-           opts_.wals.size() == static_cast<std::size_t>(shards));
+    if (shards < 1) {
+      throw std::invalid_argument("ShardedFlow: shards must be >= 1, got " +
+                                  std::to_string(shards));
+    }
+    if (!opts_.wals.empty() &&
+        opts_.wals.size() != static_cast<std::size_t>(shards)) {
+      throw std::invalid_argument(
+          "ShardedFlow: " + std::to_string(opts_.wals.size()) +
+          " WALs for " + std::to_string(shards) + " shards");
+    }
     constexpr bool threaded = requires {
       flow.attach_overload_scope(nullptr, std::vector<std::size_t>{},
                                  std::vector<std::size_t>{});
@@ -350,7 +355,7 @@ class ShardedFlow {
   }
 
   /// Post-run per-shard diagnostics (routed, shed, worst health, peak
-  /// occupancy, WAL depth) — the RunResult payload.
+  /// occupancy) — the RunResult payload.
   std::vector<ShardStats> shard_stats() const {
     std::vector<ShardStats> out;
     out.reserve(shards_.size());
@@ -364,9 +369,6 @@ class ShardedFlow {
         const auto [stored, panes] = sh.occupancy();
         st.peak_stored = stored;
         st.peak_panes = panes;
-      }
-      if (sh.wal != nullptr) {
-        st.wal_records = sh.wal->stats().records_appended;
       }
       out.push_back(st);
     }

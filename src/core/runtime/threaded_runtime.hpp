@@ -174,14 +174,14 @@ class ThreadedFlow {
   /// Restores every node from the latest *complete* checkpoint in `store`.
   /// Must be called before run(). Returns the restored checkpoint id, or
   /// nullopt when the store has no complete checkpoint (the flow then
-  /// starts from scratch — sources replay everything).
+  /// starts from scratch — sources replay everything). A record its node
+  /// cannot read exactly raises SnapshotError (NodeBase::restore_record).
   std::optional<std::uint64_t> restore_latest(const CheckpointStore& store) {
     const std::optional<std::uint64_t> id = store.latest_complete();
     if (!id) return std::nullopt;
     for (std::size_t i = 0; i < runners_.size(); ++i) {
       if (std::optional<CheckpointStore::Bytes> bytes = store.find(i, *id)) {
-        SnapshotReader r(*bytes);
-        runners_[i]->node->restore_from(r);
+        runners_[i]->node->restore_record(*bytes);
       }
     }
     return id;

@@ -123,7 +123,7 @@ class DabaLite {
   template <typename Combine>
   void load(SnapshotReader& r, Combine&& combine) {
     clear();
-    const std::size_t n = r.read_size();
+    const std::size_t n = r.read_count();
     for (std::size_t i = 0; i < n; ++i) {
       push(read_value<Agg>(r), combine);
     }

@@ -96,7 +96,7 @@ class TwoStacks {
   template <typename Combine>
   void load(SnapshotReader& r, Combine&& combine) {
     clear();
-    const std::size_t n = r.read_size();
+    const std::size_t n = r.read_count();
     for (std::size_t i = 0; i < n; ++i) {
       push(read_value<Agg>(r), combine);
     }

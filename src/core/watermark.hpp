@@ -78,7 +78,7 @@ class WatermarkCombiner {
   }
 
   void load(SnapshotReader& r) {
-    const std::size_t n = r.read_size();
+    const std::size_t n = r.read_count();
     if (n != latest_.size()) {
       throw SnapshotError("watermark combiner port count mismatch");
     }

@@ -37,7 +37,6 @@ RunResult run_multiquery(const RunConfig& cfg,
   }
   const std::size_t n_queries = cfg.queries.size();
   ThreadedFlow flow;
-  flow.set_batch_block(cfg.batch_block);
   Timestamp max_close = 0;
   for (const WindowSpec& s : cfg.queries) {
     max_close = std::max(max_close, s.size + s.lateness);
@@ -69,11 +68,6 @@ RunResult run_multiquery(const RunConfig& cfg,
     shedder.emplace(cfg.shed, &monitor);
     op.lattice().set_shedder(&*shedder);
     flow.attach_overload(&monitor);
-  }
-  std::optional<detail::ScopedWal> wal;
-  if (cfg.durability.enabled) {
-    wal.emplace(cfg.durability, "multiquery");
-    src.set_durable(&wal->log());
   }
 
   flow.connect(src, src.out(), op, op.in());
@@ -115,7 +109,6 @@ RunResult run_multiquery(const RunConfig& cfg,
   }
   r.cutoff_fired = src.cutoff_fired();
   r.cutoff_at_s = src.cutoff_at_s();
-  if (wal) wal->collect(r);
   return r;
 }
 

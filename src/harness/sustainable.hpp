@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <filesystem>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -82,21 +81,6 @@ inline const char* backend_name(WindowBackend b) {
   return "?";
 }
 
-/// Durable-ingestion knobs (DESIGN.md § 12): when enabled, every source
-/// of the run write-ahead-logs its admitted tuples (append → group-commit
-/// → emit) through an InputLog, and RunResult reports the WAL counters.
-/// The wal_overhead bench section compares enabled-vs-disabled throughput
-/// (accept: durable >= 0.8x plain).
-struct DurabilityConfig {
-  bool enabled{false};
-  /// Volume directory; empty picks a fresh run-scoped directory under the
-  /// system temp dir (removed after the run).
-  std::string wal_dir;
-  std::size_t volume_bytes{256 * 1024};
-  /// Appends per fsync (group commit); 1 syncs every tuple.
-  std::size_t group_commit{64};
-};
-
 struct RunConfig {
   double rate{10000};        ///< total injection rate, tuples/second
   double duration_s{0.8};    ///< generation duration
@@ -115,15 +99,13 @@ struct RunConfig {
   /// attaches neither — the run is bit-for-bit the pre-overload harness.
   ShedConfig shed{};
   OverloadThresholds overload{};
-  DurabilityConfig durability{};
   /// Shard-parallel deployment width (DESIGN.md § 13). 1 (the default)
   /// runs the classic single-instance pipeline, byte-identical to the
   /// pre-sharding harness. N > 1 deploys the FM operator as key splitter
   /// → N shards → watermark-merging union via ShardedFlow: shedding
   /// moves from source admission to the per-shard ingress (each shard's
-  /// Shedder reads its own OverloadMonitor) and durable mode logs to N
-  /// shard-local WAL partitions instead of one source WAL. Join runners
-  /// reject shards > 1 (two-input co-partitioning is not wired yet).
+  /// Shedder reads its own OverloadMonitor). Join runners reject
+  /// shards > 1 (two-input co-partitioning is not wired yet).
   int shards{1};
   /// Multi-query mode (DESIGN.md § 14): when non-empty, run_multiquery
   /// (harness/multiquery.hpp) hosts one window query per spec on a single
@@ -132,14 +114,6 @@ struct RunConfig {
   /// gates the lattice's store edge (one decision per tuple, attributed
   /// per query) rather than source admission.
   std::vector<WindowSpec> queries;
-  /// Micro-batch block size for the channel hot path (DESIGN.md § 16):
-  /// how many elements a channel bulk-moves per transfer and the largest
-  /// tuple run an operator's block path sees. <= 1 disables batching
-  /// (per-element transfer, byte-identical to the pre-batch harness).
-  /// Purely a runtime knob: it never changes outputs or state formats
-  /// (the batch differential suite pins that), so no snapshot codec
-  /// version moves with it.
-  std::size_t batch_block{kElementBlockCapacity};
   /// Shed at the Embed operator instead of source admission (DESIGN.md
   /// § 10 rider): with shed.policy != kNone, the Shedder gates the embed
   /// machine's add() — after channel transport, before lift — so
@@ -155,16 +129,15 @@ inline constexpr std::size_t kShedTopK = 8;
 
 /// One shard's slice of a sharded run (RunResult::per_shard): how many
 /// tuples the splitter routed to it, how many its ingress shed, the worst
-/// health its own monitor saw, its operator copy's occupancy peaks, and
-/// its WAL partition depth. Mirrors ShardStats with the health rendered
-/// as the same string vocabulary RunResult::health uses.
+/// health its own monitor saw and its operator copy's occupancy peaks.
+/// Mirrors ShardStats with the health rendered as the same string
+/// vocabulary RunResult::health uses.
 struct ShardDiag {
   std::uint64_t routed{0};
   std::uint64_t shed{0};
   std::string health;
   std::uint64_t peak_stored{0};
   std::uint64_t peak_panes{0};
-  std::uint64_t wal_records{0};
 };
 
 /// One query's slice of a multi-query run (RunResult::per_query): its
@@ -211,17 +184,11 @@ struct RunResult {
   /// the cutoff fired at.
   std::uint64_t cutoff_fired{0};
   double cutoff_at_s{0};
-  /// Durable-ingestion counters (all zero when durability is disabled):
-  /// records appended across the run's sources, group-commit fsyncs, and
-  /// WAL volumes created.
-  std::uint64_t wal_records{0};
-  std::uint64_t wal_syncs{0};
-  std::uint64_t wal_volumes{0};
   /// Sharded deployment (cfg.shards): width the run used (1 = unsharded)
   /// and per-shard diagnostics, empty for unsharded runs. The flat fields
-  /// above stay meaningful in sharded runs as aggregates — shed_count and
-  /// wal_records sum over shards, health is the worst shard's, the
-  /// occupancy peaks sum (total state footprint across shards).
+  /// above stay meaningful in sharded runs as aggregates — shed_count sums
+  /// over shards, health is the worst shard's, the occupancy peaks sum
+  /// (total state footprint across shards).
   int shards{1};
   std::vector<ShardDiag> per_shard;
   /// Multi-query deployment (cfg.queries, DESIGN.md § 14): how many
@@ -289,48 +256,6 @@ RateSourceConfig source_config(const RunConfig& cfg, double rate,
                           .flush_horizon = flush_horizon};
 }
 
-/// Run-scoped WAL behind the RunConfig durability knobs: a fresh volume
-/// directory per run (stale volumes from a previous run must not leak into
-/// this one's counters), torn down afterwards when it lives in the system
-/// temp dir. With an explicit wal_dir the volumes are left for inspection.
-class ScopedWal {
- public:
-  ScopedWal(const DurabilityConfig& d, const std::string& tag) {
-    static std::atomic<std::uint64_t> counter{0};
-    owns_dir_ = d.wal_dir.empty();
-    const std::filesystem::path dir =
-        owns_dir_ ? std::filesystem::temp_directory_path() /
-                        ("aggspes_wal_" + tag + "_" +
-                         std::to_string(counter.fetch_add(1)))
-                  : std::filesystem::path(d.wal_dir) / tag;
-    std::filesystem::remove_all(dir);
-    log_.emplace(WalOptions{dir, d.volume_bytes, d.group_commit});
-  }
-
-  ~ScopedWal() {
-    if (!log_) return;
-    const std::filesystem::path dir = log_->dir();
-    log_.reset();
-    if (owns_dir_) {
-      std::error_code ec;
-      std::filesystem::remove_all(dir, ec);
-    }
-  }
-
-  InputLog& log() { return *log_; }
-
-  void collect(RunResult& r) {
-    const WalStats& s = log_->stats();
-    r.wal_records += s.records_appended;
-    r.wal_syncs += s.syncs;
-    r.wal_volumes += s.volumes_created;
-  }
-
- private:
-  std::optional<InputLog> log_;
-  bool owns_dir_{false};
-};
-
 /// Shared post-run bookkeeping: metrics over the measure window.
 /// `emit_s` is the wall time of the generation loop (backpressure makes it
 /// exceed the configured duration on unsustainable rates).
@@ -364,36 +289,26 @@ RunResult finalize(const RunConfig& cfg, double offered,
 }
 
 /// Sharded FM runner (cfg.shards > 1): RateSource → ShardedFlow(N × Impl)
-/// → MeasuringSink. Shedding and durability move inside the shards —
-/// each shard's Shedder gates its own ingress reading its own monitor,
-/// and durable mode logs to N shard-local WAL partitions — so the run's
-/// degraded/durable accounting is the sum over its shards.
+/// → MeasuringSink. Shedding moves inside the shards — each shard's
+/// Shedder gates its own ingress reading its own monitor — so the run's
+/// degraded accounting is the sum over its shards.
 template <typename In, typename Out,
           template <typename, typename> class MachineT>
 RunResult run_fm_sharded(Impl impl, const RunConfig& cfg,
                          std::function<In(std::uint64_t)> gen,
                          FlatMapFn<In, Out> f_fm) {
   ThreadedFlow flow;
-  flow.set_batch_block(cfg.batch_block);
   const Timestamp flush = 3 * cfg.wm_period + 10;
   auto& src = flow.add<RateSource<In>>(
       source_config<In>(cfg, cfg.rate, flush), std::move(gen));
   auto& sink = flow.add<MeasuringSink<Out>>();
 
-  std::vector<std::unique_ptr<ScopedWal>> wals;
   typename ShardedFlow<In, Out, In>::Options opts;
   // Theorem 1 routing: key = the whole payload, so identical tuples
   // co-locate — the same f_K the AggBased embedding uses.
   opts.key_fn = [](const In& v) { return v; };
   opts.shed = cfg.shed;
   opts.thresholds = cfg.overload;
-  if (cfg.durability.enabled) {
-    for (int s = 0; s < cfg.shards; ++s) {
-      wals.push_back(std::make_unique<ScopedWal>(
-          cfg.durability, "fm_shard" + std::to_string(s)));
-      opts.wals.push_back(&wals.back()->log());
-    }
-  }
 
   auto factory = [&](auto& f, int) -> ShardEndpoints<In, Out> {
     ShardEndpoints<In, Out> ep;
@@ -460,12 +375,10 @@ RunResult run_fm_sharded(Impl impl, const RunConfig& cfg,
     d.health = flow_health_name(st.health);
     d.peak_stored = st.peak_stored;
     d.peak_panes = st.peak_panes;
-    d.wal_records = st.wal_records;
     r.per_shard.push_back(std::move(d));
     r.shed_count += st.shed;
     r.peak_stored += st.peak_stored;
     r.peak_panes += st.peak_panes;
-    r.wal_records += st.wal_records;
     routed_total += st.routed;
     worst = std::max(worst, st.health);
   }
@@ -489,11 +402,6 @@ RunResult run_fm_sharded(Impl impl, const RunConfig& cfg,
     if (top.size() > kShedTopK) top.resize(kShedTopK);
     r.shed_top_keys = std::move(top);
   }
-  for (auto& w : wals) {
-    const WalStats& ws = w->log().stats();
-    r.wal_syncs += ws.syncs;
-    r.wal_volumes += ws.volumes_created;
-  }
   return r;
 }
 
@@ -511,7 +419,6 @@ RunResult run_fm_t(Impl impl, const RunConfig& cfg,
                                                      std::move(f_fm));
   }
   ThreadedFlow flow;
-  flow.set_batch_block(cfg.batch_block);
   const Timestamp flush = 3 * cfg.wm_period + 10;
   auto& src = flow.add<RateSource<In>>(
       detail::source_config<In>(cfg, cfg.rate, flush), std::move(gen));
@@ -527,13 +434,6 @@ RunResult run_fm_t(Impl impl, const RunConfig& cfg,
     shedder.emplace(cfg.shed, &monitor);
     if (!embed_shed) src.set_shedder(&*shedder);
     flow.attach_overload(&monitor);
-  }
-  // Durable ingestion: the source write-ahead-logs every admitted tuple
-  // (ack-before-emit); the WAL outlives the flow, like monitor/shedder.
-  std::optional<detail::ScopedWal> wal;
-  if (cfg.durability.enabled) {
-    wal.emplace(cfg.durability, "fm");
-    src.set_durable(&wal->log());
   }
   // Reads occupancy peaks off the flow-owned windowed operator after the
   // run (empty for stateless pipelines).
@@ -596,7 +496,6 @@ RunResult run_fm_t(Impl impl, const RunConfig& cfg,
   }
   r.cutoff_fired = src.cutoff_fired();
   r.cutoff_at_s = src.cutoff_at_s();
-  if (wal) wal->collect(r);
   if (collect) collect(r);
   return r;
 }
@@ -634,7 +533,6 @@ RunResult run_join_t(Impl impl, const RunConfig& cfg,
         "inputs through one ShardPlan is future work (DESIGN.md § 13)");
   }
   ThreadedFlow flow;
-  flow.set_batch_block(cfg.batch_block);
   auto comparisons = std::make_shared<std::atomic<std::uint64_t>>(0);
   auto counted_pred = [f_p = std::move(f_p), comparisons](const L& a,
                                                           const R& b) {
@@ -660,16 +558,6 @@ RunResult run_join_t(Impl impl, const RunConfig& cfg,
     src_l.set_shedder(&*shed_l);
     src_r.set_shedder(&*shed_r);
     flow.attach_overload(&monitor);
-  }
-  // Durable ingestion: one WAL per source (each source thread appends to
-  // its own log — the InputLog is single-writer by design).
-  std::optional<detail::ScopedWal> wal_l;
-  std::optional<detail::ScopedWal> wal_r;
-  if (cfg.durability.enabled) {
-    wal_l.emplace(cfg.durability, "join_l");
-    wal_r.emplace(cfg.durability, "join_r");
-    src_l.set_durable(&wal_l->log());
-    src_r.set_durable(&wal_r->log());
   }
   std::function<void(RunResult&)> collect;
 
@@ -744,8 +632,6 @@ RunResult run_join_t(Impl impl, const RunConfig& cfg,
   }
   r.cutoff_fired = src_l.cutoff_fired() + src_r.cutoff_fired();
   r.cutoff_at_s = std::max(src_l.cutoff_at_s(), src_r.cutoff_at_s());
-  if (wal_l) wal_l->collect(r);
-  if (wal_r) wal_r->collect(r);
   if (collect) collect(r);
   return r;
 }

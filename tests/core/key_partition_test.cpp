@@ -229,8 +229,8 @@ TEST(KeySplitter, MixedHashDoesNotExposeRawKeyArithmetic) {
   }
 }
 
-// Checkpoint codec v2 round-trip plus the v1 (stateless splitter, empty
-// bytes) migration.
+// Checkpoint codec v2 round-trip. The v1 layout (the stateless splitter's
+// empty bytes) is no longer migrated: it is rejected like any other.
 TEST(KeySplitter, SnapshotRoundTripAndLegacyMigration) {
   KeySplitter<Reading, int> split(3, [](const Reading& r) { return r.sensor; });
   for (int k = 0; k < 30; ++k) {
@@ -251,14 +251,13 @@ TEST(KeySplitter, SnapshotRoundTripAndLegacyMigration) {
   }
   EXPECT_EQ(total, 30u);
 
-  // v1 migration: a pre-sharding checkpoint recorded empty bytes.
+  // Empty bytes (the v1 stateless splitter) are not a v2 record.
   KeySplitter<Reading, int> legacy(3, [](const Reading& r) { return r.sensor; });
   const SnapshotWriter::Bytes none;
   SnapshotReader empty(none);
-  legacy.restore_from(empty);
-  for (int i = 0; i < 3; ++i) EXPECT_EQ(legacy.routed(i), 0u);
+  EXPECT_THROW(legacy.restore_from(empty), SnapshotError);
 
-  // Mismatched output count is a wiring bug, not a migration case.
+  // Mismatched output count is a wiring bug.
   KeySplitter<Reading, int> wrong(4, [](const Reading& r) { return r.sensor; });
   SnapshotReader again(bytes);
   EXPECT_THROW(wrong.restore_from(again), SnapshotError);

@@ -17,8 +17,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <functional>
 #include <random>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -346,6 +349,63 @@ TEST(ParallelAggBased, RunsOnThreadedRuntime) {
   EXPECT_TRUE(sink.ended());
   EXPECT_EQ(sink.late_tuples(), 0);
   EXPECT_EQ(sink.multiset(), dedicated);
+}
+
+// --- configuration the deployment cannot honour fails loudly -------------
+
+TEST(ShardedConfig, ZeroShardsIsRejected) {
+  Flow flow;
+  ShardedFlow<int, int, int>::Options opts;
+  opts.key_fn = key_of;
+  EXPECT_THROW((ShardedFlow<int, int, int>(flow, 0, opts,
+                                           dedicated_fm_factory())),
+               std::invalid_argument);
+  EXPECT_EQ(flow.node_count(), 0u);
+}
+
+TEST(ShardedConfig, WalCountOtherThanShardsIsRejected) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   "aggspes_sharded_config_wal_count";
+  std::filesystem::remove_all(dir);
+  {
+    InputLog log(WalOptions{dir});
+    Flow flow;
+    ShardedFlow<int, int, int>::Options opts;
+    opts.key_fn = key_of;
+    opts.wals = {&log};
+    EXPECT_THROW((ShardedFlow<int, int, int>(flow, 2, opts,
+                                             dedicated_fm_factory())),
+                 std::invalid_argument);
+    EXPECT_EQ(flow.node_count(), 0u);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// A WAL needs a StateCodec to log anything; without one the shard would
+// run with an empty log and its repair would silently lose the input.
+TEST(ShardedConfig, WalForPayloadWithoutCodecIsRejected) {
+  struct Opaque {
+    int v{0};
+    std::function<void()> no_codec;  // makes the payload non-serializable
+  };
+  static_assert(!SnapshotSerializable<Opaque>);
+  const auto dir = std::filesystem::temp_directory_path() /
+                   "aggspes_sharded_config_no_codec";
+  std::filesystem::remove_all(dir);
+  {
+    InputLog log(WalOptions{dir});
+    Flow flow;
+    ShardedFlow<Opaque, Opaque, int>::Options opts;
+    opts.key_fn = [](const Opaque& o) { return o.v; };
+    opts.wals = {&log};
+    auto factory = [](auto&, int) -> ShardEndpoints<Opaque, Opaque> {
+      ADD_FAILURE() << "factory reached past the WAL check";
+      return {};
+    };
+    EXPECT_THROW((ShardedFlow<Opaque, Opaque, int>(flow, 1, opts, factory)),
+                 std::invalid_argument);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -195,11 +195,13 @@ TEST_F(DurableSourceTest, CodecV3RoundTripsAndCarriesDurableFrontier) {
   }
 }
 
+// DurableSource accepts only its own v3 layout: the v2 ReplaySource layout
+// and the unversioned 16-byte one are rejected, not migrated.
 TEST_F(DurableSourceTest, CodecMigratesV2AndLegacyLayouts) {
   const auto script = timed_script(sample_stream(20), kPeriod, 100);
   InputLog log(wal_opts());
 
-  // v2: [u8=2][cursor][next_marker] — what ReplaySource writes today.
+  // v2: [u8=2][cursor][next_marker] — what ReplaySource writes.
   {
     SnapshotWriter w;
     w.write_pod(std::uint8_t{2});
@@ -207,21 +209,17 @@ TEST_F(DurableSourceTest, CodecMigratesV2AndLegacyLayouts) {
     w.write_u64(4);
     DurableSource<Ev> src(script, log);
     SnapshotReader r(w.bytes());
-    src.restore_from(r);
-    EXPECT_EQ(src.cursor(), 12u);
-    EXPECT_EQ(src.markers_injected(), 3u);
-    EXPECT_EQ(src.durable_at_commit(), 0u);
+    EXPECT_THROW(src.restore_from(r), SnapshotError);
   }
-  // Legacy: unversioned 16-byte [cursor][next_marker].
+  // Legacy: unversioned 16-byte [cursor][next_marker]; cursor 7's low
+  // byte is not the v3 tag.
   {
     SnapshotWriter w;
     w.write_size(7);
     w.write_u64(2);
     DurableSource<Ev> src(script, log);
     SnapshotReader r(w.bytes());
-    src.restore_from(r);
-    EXPECT_EQ(src.cursor(), 7u);
-    EXPECT_EQ(src.markers_injected(), 1u);
+    EXPECT_THROW(src.restore_from(r), SnapshotError);
   }
   // Unknown version tag throws.
   {
@@ -251,16 +249,13 @@ TEST_F(DurableSourceTest, ReplaySourceCodecV2RoundTripAndLegacyMigration) {
   EXPECT_EQ(restored.cursor(), src.cursor());
   EXPECT_EQ(restored.markers_injected(), src.markers_injected());
 
-  // Legacy 16-byte layout still restores (snapshots taken before the
-  // version byte existed).
+  // The unversioned 16-byte layout is rejected, not migrated.
   SnapshotWriter legacy;
   legacy.write_size(5);
   legacy.write_u64(3);
   ReplaySource<Ev> migrated(std::vector<Element<Ev>>(script), 8);
   SnapshotReader lr(legacy.bytes());
-  migrated.restore_from(lr);
-  EXPECT_EQ(migrated.cursor(), 5u);
-  EXPECT_EQ(migrated.markers_injected(), 2u);
+  EXPECT_THROW(migrated.restore_from(lr), SnapshotError);
 }
 
 // --- ReplaySource::restore_from edge cases (ISSUE 6 satellite) ---

@@ -1,11 +1,9 @@
 // Recovery integration for the pane-backed dedicated Join: snapshot →
-// restore-into-a-fresh-graph → continue must equal an uninterrupted run,
-// a *legacy* per-instance (version-1) snapshot taken by the buffering
-// join must migrate into the pane store through the versioned codec —
-// both across every pane geometry and at several cut positions, which
-// pins the arrival index the restore rebuilds — and snapshots tagged with
-// an unknown version, or whose pane cells are malformed, must be rejected
-// loudly.
+// restore-into-a-fresh-graph → continue must equal an uninterrupted run
+// across every pane geometry and at several cut positions, which pins the
+// arrival index the restore rebuilds; and snapshots tagged with any other
+// version — the buffering join's per-instance layout included — or whose
+// pane cells are malformed, must be rejected loudly.
 #include "core/operators/join.hpp"
 
 #include <gtest/gtest.h>
@@ -14,7 +12,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "core/operators/join_buffering.hpp"
@@ -130,7 +127,6 @@ std::vector<std::size_t> cuts_of(std::size_t n) {
   return cuts;
 }
 
-template <typename CutJoinT>
 void mid_stream_continuation(const WindowSpec& spec) {
   SCOPED_TRACE("WA=" + std::to_string(spec.advance) +
                " WS=" + std::to_string(spec.size));
@@ -149,30 +145,26 @@ void mid_stream_continuation(const WindowSpec& spec) {
     const std::vector<Step> suffix(script.begin() + static_cast<long>(cut),
                                    script.end());
 
-    Rig<CutJoinT> a(spec);
+    Rig<JoinOp<int, int, int>> a(spec);
     a.apply(prefix);
     const auto op_bytes = snapshot_of(*a.op);
     const auto sink_bytes = snapshot_of(*a.sink);
 
-    // Restore always targets the pane-backed join: a CutJoinT of
-    // BufferingJoinOp makes this the v1 -> v2 migration path.
     Rig<JoinOp<int, int, int>> b(spec);
     SnapshotReader op_r(op_bytes), sink_r(sink_bytes);
     b.op->restore_from(op_r);
     b.sink->restore_from(sink_r);
+    EXPECT_TRUE(op_r.exhausted());
     b.apply(suffix);
     b.finish();
 
-    if constexpr (std::is_same_v<CutJoinT, JoinOp<int, int, int>>) {
-      // The rebuilt arrival index replays the cut's arrival order, so the
-      // restored run emits the uninterrupted run's outputs in order (the
-      // legacy format does not record that order; see join.hpp).
-      const auto& want = ref.sink->tuples();
-      const auto& got = b.sink->tuples();
-      ASSERT_GE(want.size(), got.size());
-      EXPECT_TRUE(std::equal(got.begin(), got.end(),
-                             want.end() - static_cast<long>(got.size())));
-    }
+    // The rebuilt arrival index replays the cut's arrival order, so the
+    // restored run emits the uninterrupted run's outputs in order.
+    const auto& want = ref.sink->tuples();
+    const auto& got = b.sink->tuples();
+    ASSERT_GE(want.size(), got.size());
+    EXPECT_TRUE(std::equal(got.begin(), got.end(),
+                           want.end() - static_cast<long>(got.size())));
     EXPECT_EQ(b.sink->multiset(), ref.sink->multiset());
     EXPECT_EQ(b.op->comparisons(), ref.op->comparisons());
     EXPECT_EQ(b.op->dropped_late(), ref.op->dropped_late());
@@ -182,21 +174,13 @@ void mid_stream_continuation(const WindowSpec& spec) {
 }
 
 TEST(JoinPaneSnapshot, MidStreamContinuation) {
-  for (const WindowSpec& spec : kSpecs) {
-    mid_stream_continuation<JoinOp<int, int, int>>(spec);
-  }
+  for (const WindowSpec& spec : kSpecs) mid_stream_continuation(spec);
 }
 
-// A version-1 snapshot — taken by the per-instance BufferingJoinOp, whose
-// layout is the pre-pane codec — restores into the pane-backed join via
-// migrate_per_instance and the continued run matches an uninterrupted one.
-TEST(JoinPaneSnapshot, LegacyPerInstanceSnapshotMigrates) {
-  for (const WindowSpec& spec : kSpecs) {
-    mid_stream_continuation<BufferingJoinOp<int, int, int>>(spec);
-  }
-}
-
-TEST(JoinPaneSnapshot, MigrationStoresEachTupleOnce) {
+// The per-instance BufferingJoinOp keeps its own layout as the oracle; its
+// leading has_state = 1 byte is not a JoinOp version, so the pane-backed
+// join refuses the cut instead of migrating it.
+TEST(JoinPaneSnapshot, BufferingJoinCutIsRejected) {
   const auto script = int_script();
   Rig<BufferingJoinOp<int, int, int>> a;
   a.apply({script.begin(), script.begin() + 40});
@@ -205,11 +189,7 @@ TEST(JoinPaneSnapshot, MigrationStoresEachTupleOnce) {
   Rig<JoinOp<int, int, int>> b;
   const auto bytes = snapshot_of(*a.op);
   SnapshotReader r(bytes);
-  b.op->restore_from(r);
-  // The buffering op holds one copy per overlapping instance (up to
-  // WS/WA = 2.5x here); the migrated pane store holds each tuple once.
-  EXPECT_GT(b.op->store().occupancy(), 0u);
-  EXPECT_LT(b.op->store().occupancy(), a.op->occupancy());
+  EXPECT_THROW(b.op->restore_from(r), SnapshotError);
 }
 
 TEST(JoinPaneSnapshot, UnknownCodecVersionIsRejected) {
@@ -315,7 +295,8 @@ TEST(JoinPaneSnapshot, SeqAtOrPastTheCursorIsRejected) {
 }
 
 // Element counts are bounded by the bytes left before anything is
-// allocated or looped over, in the pane store and in both legacy decoders.
+// allocated or looped over, in the pane store and in the buffering join's
+// decoder; the pane-backed join refuses that cut by its leading byte.
 TEST(JoinPaneSnapshot, OversizedCountsAreRejected) {
   const auto expect_count_error = [](auto&& decode) {
     try {
@@ -342,15 +323,13 @@ TEST(JoinPaneSnapshot, OversizedCountsAreRejected) {
   const auto tail_bytes = tail.take();
   bytes.insert(bytes.end(), tail_bytes.begin(), tail_bytes.end());
   Rig<BufferingJoinOp<int, int, int>> buffering;
-  Rig<JoinOp<int, int, int>> migrating;  // reads it as a version-1 cut
+  Rig<JoinOp<int, int, int>> paned;
   expect_count_error([&] {
     SnapshotReader r(bytes);
     buffering.op->restore_from(r);
   });
-  expect_count_error([&] {
-    SnapshotReader r(bytes);
-    migrating.op->restore_from(r);
-  });
+  SnapshotReader r(bytes);
+  EXPECT_THROW(paned.op->restore_from(r), SnapshotError);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // releases a premature watermark.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -222,6 +223,17 @@ TEST(OperatorSnapshot, RoundRobinCursorRoundTrips) {
   EXPECT_TRUE(t2.tuples().empty());
 }
 
+// The restored cursor indexes the outputs, so a cursor past them is a
+// malformed cut, not a route.
+TEST(OperatorSnapshot, RoundRobinCursorPastTheOutputsIsRejected) {
+  SnapshotWriter w;
+  w.write_size(3);
+  const auto bytes = w.take();
+  RoundRobinSplitter<int> split(3);
+  SnapshotReader r(bytes);
+  EXPECT_THROW(split.restore_from(r), SnapshotError);
+}
+
 // Source rewind contract: cursor commits at marker injection; a restored
 // source re-emits exactly the suffix, and the restored sink ends up with
 // the full output once — no gaps, no duplicates.
@@ -254,6 +266,33 @@ TEST(OperatorSnapshot, ReplaySourceRewindsToCommittedCursor) {
 
   EXPECT_EQ(b_sink.multiset(), a_sink.multiset());
   EXPECT_EQ(b_sink.late_tuples(), 0);
+}
+
+// A restore reads each node's record exactly: one trailing byte means the
+// record is not a layout the node writes, and the cut is refused.
+TEST(OperatorSnapshot, RecordWithTrailingBytesIsRejected) {
+  std::vector<Tuple<int>> tuples;
+  for (int i = 0; i < 50; ++i) tuples.push_back({i, 0, i});
+  CheckpointStore store;
+
+  ThreadedFlow a;
+  auto& a_src = a.add<ReplaySource<int>>(tuples, 4, 60, /*marker_every=*/8);
+  auto& a_sink = a.add<CollectorSink<int>>();
+  a.connect(a_src, a_src.out(), a_sink, a_sink.in());
+  a.enable_checkpoints(store);
+  a.run();
+  const auto id = store.latest_complete();
+  ASSERT_TRUE(id.has_value());
+  auto record = store.find(0, *id);
+  ASSERT_TRUE(record.has_value());
+  record->push_back(0);
+  store.record(0, *id, *record);
+
+  ThreadedFlow b;
+  auto& b_src = b.add<ReplaySource<int>>(tuples, 4, 60, /*marker_every=*/8);
+  auto& b_sink = b.add<CollectorSink<int>>();
+  b.connect(b_src, b_src.out(), b_sink, b_sink.in());
+  EXPECT_THROW(b.restore_latest(store), SnapshotError);
 }
 
 // --- C2/C3 guard state, cut mid-loop (the satellite-d cases) -----------
@@ -359,6 +398,25 @@ TEST(GuardSnapshot, C2BarrierRecordsInFlightLoopTuples) {
   b.loop(Element<Env>{successor(10, {7, 8}, 1)});
   EXPECT_EQ(b.guard.outstanding_groups(), 0u);
   EXPECT_EQ(b.sink.late_tuples(), 0);
+}
+
+// The loop-tuple count is bounded by the bytes left before the guard
+// reserves room for that many tuples.
+TEST(GuardSnapshot, C2InflatedLoopTupleCountIsRejected) {
+  C2Harness a(/*lateness=*/5);
+  SnapshotWriter w;
+  a.guard.snapshot_to(w);
+  auto bytes = w.take();
+  // An idle guard's record ends with [has_log = 1][loop tuple count = 0].
+  bytes.resize(bytes.size() - sizeof(std::uint64_t));
+  SnapshotWriter count;
+  count.write_size(std::size_t{1} << 62);
+  const auto count_bytes = count.take();
+  bytes.insert(bytes.end(), count_bytes.begin(), count_bytes.end());
+
+  C2Harness b(/*lateness=*/5);
+  SnapshotReader r(bytes);
+  EXPECT_THROW(b.guard.restore_from(r), SnapshotError);
 }
 
 struct C3Harness {
