@@ -1,5 +1,5 @@
 // Multi-query sharing bench: one flow hosting Q ∈ {1, 16, 256} window
-// queries on a single shared pane lattice (MultiQueryMonoidOp, monoid
+// queries on one pane engine (MultiQueryOp over the tree policy, monoid
 // fold path) versus Q independent single-query flows over the same
 // script. Emits the `multiquery_sharing` JSON section that
 // bench/run_micro.sh merges into BENCH_swa.json:
@@ -7,7 +7,7 @@
 //   per Q: shared wall time, the summed wall time of Q dedicated flows,
 //   their ratio, and output counts; plus the Q=256 marginal cost of one
 //   added query and the acceptance flag — adding a query to the shared
-//   lattice must cost <= 0.1x a dedicated flow for the monoid-legal path
+//   engine must cost <= 0.1x a dedicated flow for the monoid-legal path
 //   (ingest is paid once, per-query work is an O(log P) fold + fire walk).
 //
 // Deterministic by construction: single-threaded Flow, scripted source,
@@ -29,6 +29,7 @@
 #include "core/operators/source.hpp"
 #include "core/runtime/multi_query.hpp"
 #include "core/operators/aggregate.hpp"
+#include "core/swa/agg_tree.hpp"
 #include "core/swa/monoid_machine.hpp"
 
 namespace {
@@ -56,7 +57,7 @@ class CountingSink final : public NodeBase {
 
 /// Q specs with a shared pane width of 2 (every advance/size even): the
 /// regime where sharing is supposed to pay — varied slides and sizes,
-/// but one lattice covers all of them.
+/// but one pane engine covers all of them.
 std::vector<WindowSpec> make_specs(int q_count) {
   std::vector<WindowSpec> specs;
   for (int q = 0; q < q_count; ++q) {
@@ -100,17 +101,19 @@ double now_s() {
       .count();
 }
 
-/// One shared flow hosting all of `specs` on one lattice.
+/// One shared flow hosting all of `specs` on one pane engine.
 Timed run_shared(const std::vector<Element<int>>& script,
                  const std::vector<WindowSpec>& specs) {
   Flow flow;
   auto& src = flow.add<ScriptSource<int>>(script);
-  std::vector<MonoidQuery<long, int, long>> queries;
+  using Op =
+      MultiQueryOp<int, long, int, swa::TreeWindowMachine<int, long, int>>;
+  std::vector<Op::Query> queries;
   for (const WindowSpec& s : specs) {
     queries.push_back({s, [](const int&, const swa::WindowAggregate<long>& wa)
                               -> std::optional<long> { return wa.agg; }});
   }
-  auto& op = flow.add<MultiQueryMonoidOp<int, long, int, long>>(
+  auto& op = flow.add<Op>(
       std::move(queries), [](const int& v) { return v % kKeys; }, sum());
   std::vector<CountingSink<long>*> sinks;
   flow.connect(src.out(), op.in(0));
@@ -189,7 +192,7 @@ int main(int argc, char** argv) {
 
   const Row& first = rows.front();
   const Row& last = rows.back();
-  // Marginal cost of one added query on the shared lattice, vs the mean
+  // Marginal cost of one added query on the shared engine, vs the mean
   // cost of one dedicated flow at the same Q.
   const double marginal_s =
       (last.shared.seconds - first.shared.seconds) / (last.queries - 1);

@@ -39,7 +39,6 @@
 #include "core/runtime/spsc_queue.hpp"
 #include "core/swa/batch_kernels.hpp"
 #include "core/swa/daba.hpp"
-#include "core/swa/finger_tree.hpp"
 #include "core/swa/monoid_machine.hpp"
 #include "core/swa/two_stacks.hpp"
 
@@ -280,15 +279,13 @@ void BM_OpLatency_Daba(benchmark::State& state) {
 }
 BENCHMARK(BM_OpLatency_Daba)->Iterations(1 << 22);
 
-// --- Out-of-order tolerance: FIFO invalidation vs targeted fixup --------
+// --- Out-of-order tolerance: FIFO invalidation ---------------------------
 //
 // The same keyed sum with `arg`% of tuples displaced backwards in time
 // (arriving after the watermark passed them, within lateness L). The
 // FIFO monoid policy invalidates the key's cached run and replays it on
-// the next evaluate; the finger-tree policy patches the covered pane in
-// O(log panes). run_micro.sh turns the 0% vs 10% items/s pairs into
-// BENCH_swa.json's ooo_tolerance section (acceptance: finger-tree keeps
-// >= 90% of its in-order throughput at 10% reordering).
+// the next evaluate. run_micro.sh turns the 0% vs 10% items/s pair into
+// BENCH_swa.json's ooo_tolerance section.
 
 std::vector<Timestamp> reordered_timestamps(int n, int percent) {
   std::vector<Timestamp> ts(static_cast<std::size_t>(n));
@@ -296,8 +293,7 @@ std::vector<Timestamp> reordered_timestamps(int n, int percent) {
   // Displacement bounded by one pane width (kWA ticks): a displaced
   // tuple lands at most one pane behind the in-order frontier, the
   // common shape of network-induced reordering. Each such tuple makes
-  // the FIFO policy invalidate the key's cached run; the finger tree
-  // patches one covered pane.
+  // the FIFO policy invalidate the key's cached run.
   std::mt19937 rng(1234);
   std::uniform_int_distribution<int> pick(0, 99);
   std::uniform_int_distribution<int> back(1, static_cast<int>(kWA));
@@ -333,8 +329,8 @@ void run_machine_ooo(benchmark::State& state, MakeMachine&& make) {
       machine.add(Tuple<int>{t, 0, static_cast<int>(t)}, wm, fire);
       if (t > hi) hi = t;
       // The watermark trails by kSlack, so displaced tuples arrive *out
-      // of order but on time*: the cost being measured is each policy's
-      // absorb path (FIFO invalidation + replay vs targeted tree fixup),
+      // of order but on time*: the cost being measured is the policy's
+      // absorb path (FIFO invalidation + replay),
       // not the engine's late-firing machinery.
       if ((i + 1) % kWA == 0 && hi - kSlack > wm) {
         wm = hi - kSlack;
@@ -360,15 +356,6 @@ void BM_Ooo_MonoidFifo_Sum(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_Ooo_MonoidFifo_Sum)->Arg(0)->Arg(10);
-
-void BM_Ooo_FingerTree_Sum(benchmark::State& state) {
-  using M = swa::FingerTreeWindowMachine<int, long, int>;
-  run_machine_ooo<M>(state, [](WindowSpec spec) {
-    return M(spec, [](const int& v) { return v % kKeys; },
-             swa::FingerTreePolicy<int, long, int>(bench_sum()));
-  });
-}
-BENCHMARK(BM_Ooo_FingerTree_Sum)->Arg(0)->Arg(10);
 
 // --- Durable ingestion: WAL overhead (DESIGN.md § 12) -------------------
 //

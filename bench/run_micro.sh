@@ -108,8 +108,7 @@ jq -s --argjson cores "$(nproc)" '
     ),
     # Out-of-order tolerance at WS/WA = 32: throughput retained under 10%
     # displaced input (on time, out of order). The FIFO monoid policy
-    # invalidates and replays a key'"'"'s whole pane run; the finger tree
-    # patches the covered pane in O(log panes).
+    # invalidates and replays a key'"'"'s whole pane run.
     ooo_tolerance: (
       {
         reorder_percent: 10,
@@ -122,20 +121,7 @@ jq -s --argjson cores "$(nproc)" '
                           "items_per_second") /
                       med($tails; "BM_Ooo_MonoidFifo_Sum/0";
                           "items_per_second")) * 1000 | round / 1000)
-        },
-        finger_tree: {
-          inorder_items_per_s: med($tails; "BM_Ooo_FingerTree_Sum/0";
-                                   "items_per_second"),
-          reordered_items_per_s: med($tails; "BM_Ooo_FingerTree_Sum/10";
-                                     "items_per_second"),
-          retained: ((med($tails; "BM_Ooo_FingerTree_Sum/10";
-                          "items_per_second") /
-                      med($tails; "BM_Ooo_FingerTree_Sum/0";
-                          "items_per_second")) * 1000 | round / 1000)
-        },
-        accept_finger_tree_ge_90pct:
-          (med($tails; "BM_Ooo_FingerTree_Sum/10"; "items_per_second") >=
-           0.9 * med($tails; "BM_Ooo_FingerTree_Sum/0"; "items_per_second"))
+        }
       }
     ),
     # Pane-store vs per-instance join footprint (DESIGN.md § 9): the

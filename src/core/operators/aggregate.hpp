@@ -16,8 +16,8 @@
 //
 //   * WindowMachine (default) — each tuple copied into every instance;
 //   * swa::SlicedWindowMachine — each tuple stored once, in its pane;
-//   * swa::MonoidWindowMachine / DabaWindowMachine / FingerTreeWindowMachine
-//     — per-pane monoid partials; f_O then reads the instance's
+//   * swa::MonoidWindowMachine / DabaWindowMachine / TreeWindowMachine —
+//     per-pane monoid partials; f_O then reads the instance's
 //     WindowAggregate, and the constructor takes the monoid after f_K.
 //
 // FiredWindow (window_machine.hpp, swa/policy_base.hpp) decides per machine
@@ -42,8 +42,9 @@ namespace aggspes {
 
 /// Snapshot layout of every Aggregate: the base watermark state, one
 /// version byte — 0 when the state has no StateCodec, this value
-/// otherwise — then the machine's own save(). Other bytes are rejected.
-inline constexpr std::uint8_t kAggregateCodecVersion = 3;
+/// otherwise — then the machine's own save(). A node accepts only the
+/// byte it writes.
+inline constexpr std::uint8_t kAggregateCodecVersion = 4;
 
 namespace detail {
 
@@ -88,14 +89,13 @@ class WindowOpCore : public UnaryNode<In, Out> {
   void restore_from(SnapshotReader& r) override {
     this->load_base(r);
     const auto version = r.read_pod<std::uint8_t>();
-    if (version == 0) return;
-    if (version != kAggregateCodecVersion) {
-      throw SnapshotError("unknown Aggregate codec version " +
-                          std::to_string(version));
-    }
     if constexpr (kSerializable) {
+      if (version != kAggregateCodecVersion) {
+        throw SnapshotError("unknown Aggregate codec version " +
+                            std::to_string(version));
+      }
       machine_.load(r);
-    } else {
+    } else if (version != 0) {
       throw SnapshotError("Aggregate state lacks a StateCodec");
     }
   }
@@ -199,16 +199,16 @@ class WindowOpCore : public UnaryNode<In, Out> {
     s->checkpoint_id = checkpoint_id;
     s->watermark = this->watermark();
     s->point = [frozen](const Key& key, Timestamp l) -> std::optional<Value> {
-      Value wa = frozen->fold(l, key);
+      Value wa = frozen->fold(0, l, key);
       if (wa.count == 0) return std::nullopt;
       return wa;
     };
     s->range = [frozen](const Key& key, Timestamp from, Timestamp to) {
       std::vector<std::pair<Timestamp, Value>> out;
-      const Timestamp adv = frozen->spec.advance;
+      const Timestamp adv = frozen->queries[0].spec.advance;
       for (Timestamp l = floor_div(from + adv - 1, adv) * adv; l < to;
            l += adv) {
-        Value wa = frozen->fold(l, key);
+        Value wa = frozen->fold(0, l, key);
         if (wa.count != 0) out.emplace_back(l, std::move(wa));
       }
       return out;

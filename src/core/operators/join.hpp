@@ -89,16 +89,15 @@ class JoinOp final : public BinaryNode<L, R, std::pair<L, R>> {
   void restore_from(SnapshotReader& r) override {
     this->load_base(r);
     const std::uint8_t version = r.read_pod<std::uint8_t>();
-    if (version == 0) return;  // snapshot taken without a codec
-    if (version != kCodecVersion) {
-      throw SnapshotError("unknown JoinOp codec version " +
-                          std::to_string(version));
-    }
     if constexpr (kSerializable) {
+      if (version != kCodecVersion) {
+        throw SnapshotError("unknown JoinOp codec version " +
+                            std::to_string(version));
+      }
       store_.load(r, this->watermark());
       comparisons_ = r.read_u64();
       dropped_late_ = r.read_u64();
-    } else {
+    } else if (version != 0) {
       throw SnapshotError("JoinOp payload lacks a StateCodec");
     }
   }

@@ -1,24 +1,26 @@
 // MultiQueryOp (DESIGN.md § 14): one operator node hosting Q concurrent
-// window queries over the same keyed stream, served from a SharedLattice.
-// Each registered query gets its own outlet; every fire for query q goes
-// out outlet q with that query's output event time (γ.l + WS_q − δ), and
-// watermarks / end-of-stream / checkpoint markers are broadcast to all
-// outlets after the lattice has fired, so per-outlet ordering (results
-// before the watermark that completed them) matches a dedicated
-// single-query operator exactly.
+// window queries over the same keyed stream, served from one pane engine
+// (swa::SlicedEngine with Q specs). Each registered query gets its own
+// outlet; every fire for query q goes out outlet q with that query's
+// output event time (γ.l + WS_q − δ), and watermarks / end-of-stream /
+// checkpoint markers are broadcast to all outlets after the engine has
+// fired, so per-outlet ordering (results before the watermark that
+// completed them) matches a dedicated single-query operator exactly.
 //
-// Two variants mirror the single-query operator families:
-//   * MultiQueryMonoidOp — f_O is a monoid shared by all queries, with a
-//     per-query `lower` step; fires are O(log P) range folds off one
-//     per-key tree (LatticeMonoidPolicy).
-//   * MultiQueryReplayOp — arbitrary per-query f_O over a view of the
-//     instance's stored tuples (ReplayPolicy), the fallback when f_O is
-//     not a monoid homomorphism.
+// The Machine parameter picks the evaluation, and FiredWindow decides —
+// as for A / A+ / A++ — what each query's f_O receives and which stamp an
+// output carries:
+//   * swa::TreeWindowMachine (agg_tree.hpp) — f_O is a monoid shared by
+//     all queries; each query's f_O lowers (key, WindowAggregate), and
+//     fires are O(log P) range folds off one tree per key;
+//   * swa::SlicedWindowMachine (the default) — arbitrary per-query f_O
+//     over a view of the instance's stored tuples, the fallback when f_O
+//     is not a monoid homomorphism.
 //
-// Recovery: the snapshot codec is versioned (JoinOp precedent) and writes
-// the shared lattice once — a single barrier cut covers all Q queries.
-// Restoring into an operator with a different query count is a
-// SnapshotError, not silent misattribution.
+// Recovery: the snapshot is [base][version][engine save], written once —
+// a single barrier cut covers all Q queries. Restoring into an operator
+// with a different query count is a SnapshotError, not silent
+// misattribution.
 #pragma once
 
 #include <functional>
@@ -29,181 +31,51 @@
 
 #include "core/operators/operator_base.hpp"
 #include "core/operators/window_machine.hpp"
-#include "core/swa/shared_lattice.hpp"
+#include "core/swa/sliced_machine.hpp"
 
 namespace aggspes {
 
-inline constexpr std::uint8_t kMultiQueryCodecVersion = 1;
+/// Snapshot layout of MultiQueryOp: the base watermark state, one version
+/// byte — 0 when the state has no StateCodec, this value otherwise — then
+/// the engine's save(). A node accepts only the byte it writes.
+inline constexpr std::uint8_t kMultiQueryCodecVersion = 2;
 
-/// One registered monoid query: its window spec plus the per-query
-/// lowering from the shared monoid's WindowAggregate to output payloads.
-template <typename Out, typename Key, typename Agg>
-struct MonoidQuery {
-  WindowSpec spec;
-  std::function<std::optional<Out>(const Key&,
-                                   const swa::WindowAggregate<Agg>&)>
-      lower;
-};
-
-/// One registered replay query: its window spec plus an arbitrary f_O
-/// over a view of the instance's stored tuples.
-template <typename In, typename Out, typename Key>
-struct ReplayQuery {
-  WindowSpec spec;
-  std::function<std::optional<Out>(const WindowView<In, Key>&)> f_o;
-};
-
-/// Q monoid queries over one shared lattice: per-query O(log P) range
-/// folds off one tree per key.
-template <typename In, typename Out, typename Key, typename Agg>
-class MultiQueryMonoidOp final : public UnaryNode<In, Out> {
+template <typename In, typename Out, typename Key,
+          typename Machine = swa::SlicedWindowMachine<In, Key>>
+class MultiQueryOp final : public UnaryNode<In, Out> {
  public:
-  using Lattice = swa::MonoidLattice<In, Agg, Key>;
-  using KeyFn = typename Lattice::KeyFn;
-  using Query = MonoidQuery<Out, Key, Agg>;
+  using KeyFn = typename Machine::KeyFn;
+  using Fired = FiredWindow<In, Key, typename Machine::Result>;
+  /// f_O: returns the output's payload, or nullopt (∅) for no output.
+  using AggFn = typename Fired::template Fn<std::optional<Out>>;
 
-  MultiQueryMonoidOp(std::vector<Query> queries, KeyFn f_k,
-                     swa::Monoid<In, Agg> m)
+  /// One registered query: its window spec and its f_O.
+  struct Query {
+    WindowSpec spec;
+    AggFn f_o;
+  };
+
+  MultiQueryOp(std::vector<Query> queries, KeyFn f_k)
       : UnaryNode<In, Out>(1, 0),
         queries_(std::move(queries)),
-        lattice_(specs_of(queries_), std::move(f_k),
-                 swa::LatticeMonoidPolicy<In, Agg, Key>(std::move(m))),
+        machine_(specs_of(queries_), std::move(f_k)),
+        outs_(queries_.size()) {}
+
+  /// Monoid machines: the monoid shared by every query follows f_K.
+  template <typename F = Fired>
+  MultiQueryOp(std::vector<Query> queries, KeyFn f_k, typename F::Monoid m)
+      : UnaryNode<In, Out>(1, 0),
+        queries_(std::move(queries)),
+        machine_(specs_of(queries_), std::move(f_k), std::move(m)),
         outs_(queries_.size()) {}
 
   /// Outlet carrying query q's results (the inherited out() is unused —
   /// it would collapse all queries onto one stream).
   Outlet<Out>& out(int q) { return outs_[static_cast<std::size_t>(q)]; }
-  int query_count() const { return lattice_.query_count(); }
+  int query_count() const { return machine_.query_count(); }
 
-  Lattice& lattice() { return lattice_; }
-  const Lattice& lattice() const { return lattice_; }
-
-  void fail_downstream() override {
-    for (Outlet<Out>& o : outs_) o.push_end();
-  }
-
-  void snapshot_to(SnapshotWriter& w) const override {
-    this->save_base(w);
-    if constexpr (kSerializable) {
-      w.write_pod<std::uint8_t>(kMultiQueryCodecVersion);
-      w.write_u64(lattice_.policy().max_cached_keys());
-      lattice_.save(w);
-    } else {
-      w.write_pod<std::uint8_t>(0);  // no state (aggregate lacks a codec)
-    }
-  }
-
-  void restore_from(SnapshotReader& r) override {
-    this->load_base(r);
-    const std::uint8_t version = r.read_pod<std::uint8_t>();
-    if (version == 0) return;
-    if constexpr (kSerializable) {
-      if (version != kMultiQueryCodecVersion) {
-        throw SnapshotError("unknown MultiQueryMonoidOp codec version " +
-                            std::to_string(version));
-      }
-      lattice_.policy().set_max_cached_keys(r.read_u64());
-      lattice_.load(r);
-    } else {
-      throw SnapshotError("MultiQueryMonoidOp aggregate lacks a StateCodec");
-    }
-  }
-
- protected:
-  void on_tuple(int, const Tuple<In>& t) override {
-    lattice_.add(t, this->watermark(), fire_);
-  }
-
-  void on_watermark(Timestamp w) override {
-    lattice_.advance(w, fire_);
-    for (Outlet<Out>& o : outs_) o.push_watermark(w);
-  }
-
-  void on_end() override {
-    lattice_.flush(fire_);
-    for (Outlet<Out>& o : outs_) o.push_end();
-  }
-
-  void on_marker(std::uint64_t id) override {
-    this->complete_barrier(id);
-    for (Outlet<Out>& o : outs_) {
-      o.push(Element<Out>{CheckpointMarker{id}});
-    }
-  }
-
-  /// Non-quiescent barrier path: one lattice freeze covers all Q queries;
-  /// serialization of the shared cut runs on the async executor.
-  std::optional<FrozenJob> freeze_snapshot(std::uint64_t) override {
-    if constexpr (kSerializable) {
-      if (!this->async_enabled()) return std::nullopt;
-      SnapshotWriter base;
-      this->save_base(base);
-      FrozenJob job;
-      job.serialize = [frozen = swa::freeze_shared(lattice_),
-                       head = base.take(),
-                       knob = lattice_.policy().max_cached_keys()]() {
-        SnapshotWriter w;
-        w.write_raw(head.data(), head.size());
-        w.write_pod<std::uint8_t>(kMultiQueryCodecVersion);
-        w.write_u64(knob);
-        frozen->serialize(w);
-        return w.take();
-      };
-      return job;
-    } else {
-      return std::nullopt;
-    }
-  }
-
- private:
-  static std::vector<WindowSpec> specs_of(const std::vector<Query>& qs) {
-    std::vector<WindowSpec> specs;
-    specs.reserve(qs.size());
-    for (const Query& q : qs) specs.push_back(q.spec);
-    return specs;
-  }
-
-  void fire(int q, Timestamp l, const Key& key,
-            const swa::WindowAggregate<Agg>& wa) {
-    Query& query = queries_[static_cast<std::size_t>(q)];
-    if (std::optional<Out> o = query.lower(key, wa)) {
-      outs_[static_cast<std::size_t>(q)].push_tuple(
-          Tuple<Out>{query.spec.output_ts(l), wa.stamp, std::move(*o)});
-    }
-  }
-
-  static constexpr bool kSerializable =
-      SnapshotSerializable<Agg> && SnapshotSerializable<Key>;
-
-  std::vector<Query> queries_;
-  Lattice lattice_;
-  std::vector<Outlet<Out>> outs_;
-  typename Lattice::FireFn fire_ =
-      [this](int q, Timestamp l, const Key& k,
-             const swa::WindowAggregate<Agg>& wa, bool) { fire(q, l, k, wa); };
-};
-
-/// Q arbitrary-f_O queries over one shared lattice: each fire hands query
-/// q's f_O a WindowView over the instance's stored tuples, read in place
-/// in arrival order — the replay fallback, exactly the buffering semantics.
-template <typename In, typename Out, typename Key>
-class MultiQueryReplayOp final : public UnaryNode<In, Out> {
- public:
-  using Lattice = swa::ReplayLattice<In, Key>;
-  using KeyFn = typename Lattice::KeyFn;
-  using Query = ReplayQuery<In, Out, Key>;
-
-  MultiQueryReplayOp(std::vector<Query> queries, KeyFn f_k)
-      : UnaryNode<In, Out>(1, 0),
-        queries_(std::move(queries)),
-        lattice_(specs_of(queries_), std::move(f_k)),
-        outs_(queries_.size()) {}
-
-  Outlet<Out>& out(int q) { return outs_[static_cast<std::size_t>(q)]; }
-  int query_count() const { return lattice_.query_count(); }
-
-  Lattice& lattice() { return lattice_; }
-  const Lattice& lattice() const { return lattice_; }
+  Machine& machine() { return machine_; }
+  const Machine& machine() const { return machine_; }
 
   void fail_downstream() override {
     for (Outlet<Out>& o : outs_) o.push_end();
@@ -213,8 +85,7 @@ class MultiQueryReplayOp final : public UnaryNode<In, Out> {
     this->save_base(w);
     if constexpr (kSerializable) {
       w.write_pod<std::uint8_t>(kMultiQueryCodecVersion);
-      w.write_u64(0);  // replay lattice has no cache knob; keep one layout
-      lattice_.save(w);
+      machine_.save(w);
     } else {
       w.write_pod<std::uint8_t>(0);  // no state (payload lacks a codec)
     }
@@ -223,31 +94,29 @@ class MultiQueryReplayOp final : public UnaryNode<In, Out> {
   void restore_from(SnapshotReader& r) override {
     this->load_base(r);
     const std::uint8_t version = r.read_pod<std::uint8_t>();
-    if (version == 0) return;
     if constexpr (kSerializable) {
       if (version != kMultiQueryCodecVersion) {
-        throw SnapshotError("unknown MultiQueryReplayOp codec version " +
+        throw SnapshotError("unknown MultiQueryOp codec version " +
                             std::to_string(version));
       }
-      r.read_u64();  // cache knob slot (unused by the replay lattice)
-      lattice_.load(r);
-    } else {
-      throw SnapshotError("MultiQueryReplayOp payload lacks a StateCodec");
+      machine_.load(r);
+    } else if (version != 0) {
+      throw SnapshotError("MultiQueryOp state lacks a StateCodec");
     }
   }
 
  protected:
   void on_tuple(int, const Tuple<In>& t) override {
-    lattice_.add(t, this->watermark(), fire_);
+    machine_.add(t, this->watermark(), fire_);
   }
 
   void on_watermark(Timestamp w) override {
-    lattice_.advance(w, fire_);
+    machine_.advance(w, fire_);
     for (Outlet<Out>& o : outs_) o.push_watermark(w);
   }
 
   void on_end() override {
-    lattice_.flush(fire_);
+    machine_.flush(fire_);
     for (Outlet<Out>& o : outs_) o.push_end();
   }
 
@@ -258,18 +127,19 @@ class MultiQueryReplayOp final : public UnaryNode<In, Out> {
     }
   }
 
+  /// Non-quiescent barrier path: one engine freeze covers all Q queries;
+  /// serialization of the shared cut runs on the async executor.
   std::optional<FrozenJob> freeze_snapshot(std::uint64_t) override {
     if constexpr (kSerializable) {
       if (!this->async_enabled()) return std::nullopt;
-      SnapshotWriter base;
-      this->save_base(base);
+      SnapshotWriter head;
+      this->save_base(head);
+      head.write_pod<std::uint8_t>(kMultiQueryCodecVersion);
       FrozenJob job;
-      job.serialize = [frozen = swa::freeze_shared(lattice_),
-                       head = base.take()]() {
+      job.serialize = [frozen = swa::freeze_shared(machine_),
+                       head = head.take()]() {
         SnapshotWriter w;
         w.write_raw(head.data(), head.size());
-        w.write_pod<std::uint8_t>(kMultiQueryCodecVersion);
-        w.write_u64(0);  // cache knob slot (replay lattice has none)
         frozen->serialize(w);
         return w.take();
       };
@@ -287,24 +157,23 @@ class MultiQueryReplayOp final : public UnaryNode<In, Out> {
     return specs;
   }
 
-  void fire(int q, Timestamp l, const Key& key, const TupleView<In>& items) {
-    Query& query = queries_[static_cast<std::size_t>(q)];
-    WindowView<In, Key> view{l, query.spec.size, key, items};
-    if (std::optional<Out> o = query.f_o(view)) {
-      outs_[static_cast<std::size_t>(q)].push_tuple(Tuple<Out>{
-          query.spec.output_ts(l), max_stamp(items), std::move(*o)});
-    }
-  }
-
   static constexpr bool kSerializable =
-      SnapshotSerializable<In> && SnapshotSerializable<Key>;
+      Fired::kStateCodec && SnapshotSerializable<Key>;
 
   std::vector<Query> queries_;
-  Lattice lattice_;
+  Machine machine_;
   std::vector<Outlet<Out>> outs_;
-  typename Lattice::FireFn fire_ =
-      [this](int q, Timestamp l, const Key& k, const TupleView<In>& items,
-             bool) { fire(q, l, k, items); };
+  std::function<void(int, Timestamp, const Key&,
+                     const typename Machine::Result&, bool)>
+      fire_ = [this](int q, Timestamp l, const Key& key,
+                     const typename Machine::Result& r, bool) {
+        const Query& query = queries_[static_cast<std::size_t>(q)];
+        if (std::optional<Out> o =
+                Fired::apply(query.f_o, l, query.spec.size, key, r)) {
+          outs_[static_cast<std::size_t>(q)].push_tuple(Tuple<Out>{
+              query.spec.output_ts(l), Fired::stamp(r), std::move(*o)});
+        }
+      };
 };
 
 }  // namespace aggspes

@@ -284,10 +284,10 @@ class Shedder {
     return shed_by_key_;
   }
 
-  /// Attributes an already-counted shed decision to query `query`. A
-  /// multi-query lattice stores each tuple once, so one admit() refusal is
-  /// a loss for *every* query whose instance set contained the tuple; the
-  /// lattice calls this once per affected query so per-query accounting
+  /// Attributes an already-counted shed decision to query `query`. The
+  /// pane engine stores each tuple once, so one admit() refusal is a loss
+  /// for *every* query whose instance set contained the tuple; the engine
+  /// calls this once per affected query so per-query accounting
   /// does not mis-attribute flow-global drops. Producer-thread state, like
   /// shed_by_key_ (see admit()); readers consume it after the run.
   void attribute_query(int query, std::uint64_t n = 1) {
@@ -295,7 +295,7 @@ class Shedder {
   }
 
   /// Tuples shed per registered query (keyed by query index, ordered so
-  /// reports are deterministic). Only populated by multi-query callers.
+  /// reports are deterministic). Only populated by the pane engine.
   const std::map<int, std::uint64_t>& shed_by_query() const {
     return shed_by_query_;
   }

@@ -1,20 +1,18 @@
-// Out-of-order-robust incremental evaluation (DESIGN.md § 11), after
-// "General Incremental Sliding-Window Aggregation" (Tangwongsan et al.)
-// and its FiBA successor: each key's window is answered from a balanced
-// aggregation tree over pane partials instead of a FIFO.
+// The tree evaluation policy (DESIGN.md § 11, § 14), after "General
+// Incremental Sliding-Window Aggregation" (Tangwongsan et al.): each key's
+// windows are answered from a balanced aggregation tree over pane
+// partials instead of a FIFO.
 //
-// The FIFO policies (monoid_machine.hpp, daba.hpp) are O(1) per fire but
-// fragile against disorder: one late tuple landing under any built FIFO
-// bumps a global version and every key's cache rebuilds from scratch —
-// O(panes-per-window) per key on the next fire, across all keys. Here a
-// late tuple is a *targeted* O(log P) update of one node in one key's
-// tree (P = panes per window); no version, no frontier, no cross-key
-// invalidation — the engine's absorb tells us exactly which (pane, key)
-// cell changed, and the tree re-aggregates just that root path. In-order
-// tuples land beyond the covered range and cost the tree nothing until
-// the instance closes; the per-fire slide is then one leftmost erase and
-// one rightmost insert, O(log P) each against the tree's cached end
-// fingers (min/max spines).
+// The FIFO policies (monoid_machine.hpp, daba.hpp) are O(1) per fire for
+// one spec but fragile against disorder: one late tuple landing under any
+// built FIFO bumps a global version and every key's cache rebuilds. Here
+// one tree per key holds a node per live pane, so any window [l, l + WS)
+// of any registered spec is an O(log P) range fold, and a late tuple is a
+// targeted O(log P) refresh of one node in one key's tree — no version,
+// no cross-key invalidation. The same tree therefore serves a single
+// Aggregate (TreeWindowMachine) and every query of a multi-query engine.
+// Measured against two-stacks it loses on throughput, in order and
+// reordered (EXPERIMENTS.md); it stays as the multi-query monoid policy.
 //
 // The tree is a treap keyed by pane timestamp with per-node subtree
 // aggregates, priorities drawn deterministically from the pane timestamp
@@ -59,9 +57,8 @@ class AggTreap {
   /// the range holds nothing (it must be an identity of `comb`, as
   /// WindowAggregate's count == 0 is). O(log n): the recursion touches
   /// only the two boundary spines and reuses whole-subtree aggregates in
-  /// between. This is the range-query surface DESIGN.md § 11 promised —
-  /// the shared lattice answers every query's [l, l + WS) fold from one
-  /// tree per key.
+  /// between. LatticeMonoidPolicy answers every query's [l, l + WS) fold
+  /// from one tree per key this way.
   template <typename Comb>
   V range_fold_or(Timestamp lo, Timestamp hi, const V& empty,
                   const Comb& comb) const {
@@ -216,10 +213,15 @@ class AggTreap {
   std::size_t size_{0};
 };
 
-/// The tree-backed policy: same authoritative cells and snapshot codec as
-/// the FIFO policies, out-of-order absorbs handled in place.
+/// Monoid evaluation off one AggTreap per key over every live pane, shared
+/// by all of an engine's queries. Any query's [l, l + WS_q) fold is an
+/// O(log P) range query; an absorb — in order or late — refreshes exactly
+/// one node in place (no versioning, no cross-key invalidation). The trees
+/// are caches: rebuilt lazily from the authoritative pane cells after
+/// restore or LRU eviction, kept exact by upserts on absorb and erases on
+/// pane purge (SlicedEngine calls on_pane_purged).
 template <typename In, typename Agg, typename Key>
-class FingerTreePolicy : public MonoidPolicyCore<In, Agg, Key> {
+class LatticeMonoidPolicy : public MonoidPolicyCore<In, Agg, Key> {
   using Base = MonoidPolicyCore<In, Agg, Key>;
 
  public:
@@ -228,7 +230,7 @@ class FingerTreePolicy : public MonoidPolicyCore<In, Agg, Key> {
 
   /// Implicit from a monoid, like the FIFO policies: how an Aggregate's
   /// monoid reaches its machine.
-  FingerTreePolicy(Monoid<In, Agg> m, std::size_t max_cached_keys = 0)
+  LatticeMonoidPolicy(Monoid<In, Agg> m, std::size_t max_cached_keys = 0)
       : Base(std::move(m)) {
     cache_.set_max(max_cached_keys);
   }
@@ -237,85 +239,80 @@ class FingerTreePolicy : public MonoidPolicyCore<In, Agg, Key> {
               std::uint64_t /*seq*/) {
     this->fold_into(c, t);
     KeyTree* kt = cache_.find(key);
-    if (kt == nullptr) return;
-    if (pane_l >= kt->from && pane_l < kt->to) {
-      // An already-covered pane mutated (out-of-order arrival): refresh
-      // just its node from the authoritative cell. One O(log P) root
-      // path; every other pane, key and cache is untouched.
+    if (kt != nullptr && kt->built) {
+      // New or mutated pane: refresh its node from the authoritative cell
+      // so the tree stays exact over all live panes. O(log P), whether the
+      // arrival was in-order or late.
       kt->tree.upsert(pane_l, Result{c.agg, c.count, c.stamp},
                       this->combiner());
-      ++ooo_fixups_;
     }
-    // In-order tuples land at or beyond kt->to and are picked up by the
-    // slide when their instance fires.
   }
 
   template <typename PaneMap>
   const Result& evaluate(const PaneMap& panes, const WindowSpec& spec,
-                         const PaneGeometry& geom, Timestamp l,
-                         const Key& key, bool sequential) {
-    const Timestamp end = l + spec.size;
-    if (!sequential) {
-      this->result_ = this->fold_range(panes, l, end, key);
-      return this->result_;
-    }
+                         const PaneGeometry&, Timestamp l, const Key& key,
+                         bool /*sequential*/) {
     KeyTree& kt = cache_.touch(key);
-    if (kt.from > l || kt.to > end || kt.to < kt.from) {
-      // The fire walk jumped backwards (late re-evaluation) or to a
-      // disjoint window: restart coverage at this instance.
+    if (!kt.built) {
       kt.tree.clear();
-      kt.from = kt.to = l;
-    }
-    while (kt.from < l) {
-      if (kt.tree.empty()) {
-        kt.from = kt.to = l;
-        break;
+      for (const auto& [p, cells] : panes) {
+        auto cell = cells.find(key);
+        if (cell == cells.end()) continue;
+        kt.tree.upsert(p,
+                       Result{cell->second.agg, cell->second.count,
+                              cell->second.stamp},
+                       this->combiner());
       }
-      kt.tree.erase(kt.from, this->combiner());
-      kt.from += geom.width;
+      kt.built = true;
+      ++rebuilds_;
     }
-    while (kt.to < end) {
-      kt.tree.upsert(kt.to, this->pane_partial(panes, kt.to, key),
-                     this->combiner());
-      kt.to += geom.width;
-    }
-    this->result_ =
-        kt.tree.fold_or(this->identity_result(), this->combiner());
+    this->result_ = kt.tree.range_fold_or(l, l + spec.size,
+                                          this->identity_result(),
+                                          this->combiner());
     return this->result_;
+  }
+
+  /// Purge hook: drop the dead pane's node from every cached key
+  /// tree it appears in.
+  template <typename Cells>
+  void on_pane_purged(Timestamp p, const Cells& cells) {
+    for (const auto& [key, cell] : cells) {
+      KeyTree* kt = cache_.find(key);
+      if (kt != nullptr && kt->built) kt->tree.erase(p, this->combiner());
+    }
   }
 
   void reset() { cache_.clear(); }
 
-  /// Bounded per-key cache memory (0 = unbounded); evictions drop caches
-  /// only, never window state.
+  /// Bounded per-key cache memory (0 = unbounded); evictions drop trees
+  /// only, never pane state.
   void set_max_cached_keys(std::size_t n) { cache_.set_max(n); }
   std::size_t max_cached_keys() const { return cache_.max(); }
   std::size_t cached_keys() const { return cache_.size(); }
   std::uint64_t cache_evictions() const { return cache_.evictions(); }
   std::uint64_t peak_cached_keys() const { return cache_.peak_size(); }
-  /// Targeted out-of-order node refreshes since the last reset.
-  std::uint64_t ooo_fixups() const { return ooo_fixups_; }
+  /// Full per-key tree builds since the last reset (first fire after
+  /// construction, restore, or eviction).
+  std::uint64_t rebuilds() const { return rebuilds_; }
   void reset_diagnostics() {
     cache_.reset_diagnostics();
-    ooo_fixups_ = 0;
+    rebuilds_ = 0;
   }
 
  private:
-  /// Per-key covered pane range [from, to) mirrored into the tree.
   struct KeyTree {
-    AggTreap<Result> tree;
-    Timestamp from{0};
-    Timestamp to{0};
+    AggTreap<Result> tree;  ///< one node per live pane holding this key
+    bool built{false};
   };
 
   KeyCacheLru<Key, KeyTree> cache_;
-  std::uint64_t ooo_fixups_{0};
+  std::uint64_t rebuilds_{0};
 };
 
 /// Backs A / A+ / A++ wherever f_O is a monoid (Aggregate's Machine
-/// parameter).
+/// parameter), and MultiQueryOp's monoid queries.
 template <typename In, typename Agg, typename Key>
-using FingerTreeWindowMachine =
-    SlicedEngine<In, Key, FingerTreePolicy<In, Agg, Key>>;
+using TreeWindowMachine =
+    SlicedEngine<In, Key, LatticeMonoidPolicy<In, Agg, Key>>;
 
 }  // namespace aggspes::swa

@@ -22,7 +22,7 @@ struct LateEvent {
   Timestamp watermark{0};  ///< operator watermark when the tuple arrived
   bool dropped{false};
   /// Which registered query the event belongs to. Single-query machines
-  /// leave it 0; the shared lattice stamps the per-query index via
+  /// leave it 0; the pane engine stamps each query's index via
   /// LateProbe::set_query so one probe hook can attribute drops when Q
   /// queries share one pane store.
   int query{0};
@@ -43,8 +43,8 @@ class LateProbe {
 
   explicit operator bool() const { return static_cast<bool>(fn_); }
 
-  /// Tags every event this probe emits with a query index (multi-query
-  /// lattices give each registered query its own probe; the tag lets one
+  /// Tags every event this probe emits with a query index (the pane
+  /// engine gives each registered query its own probe; the tag lets one
   /// shared hook tell them apart). Default 0 — single-query machines need
   /// not care.
   void set_query(int q) { query_ = q; }

@@ -16,7 +16,7 @@
 // The policy machinery (cell format, combiner, LRU key-cache bound,
 // version/frontier invalidation) lives in policy_base.hpp, shared with
 // DabaPolicy (daba.hpp — same sliding FIFO, worst-case O(1) evict) and
-// FingerTreePolicy (finger_tree.hpp — no invalidation on out-of-order).
+// LatticeMonoidPolicy (agg_tree.hpp — no invalidation on out-of-order).
 #pragma once
 
 #include "core/swa/policy_base.hpp"

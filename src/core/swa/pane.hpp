@@ -11,6 +11,7 @@
 
 #include <cassert>
 #include <numeric>
+#include <vector>
 
 #include "core/types.hpp"
 #include "core/window.hpp"
@@ -43,5 +44,17 @@ struct PaneGeometry {
     return spec.advance / width;
   }
 };
+
+/// Pane width shared by a set of window specs: the gcd of every spec's
+/// advance and size, so each spec's instances are exact pane unions (for
+/// one spec, PaneGeometry::of(spec).width).
+inline Timestamp shared_pane_width(const std::vector<WindowSpec>& specs) {
+  Timestamp g = 0;
+  for (const WindowSpec& s : specs) {
+    assert(s.advance > 0 && s.size > 0);
+    g = std::gcd(g, std::gcd(s.advance, s.size));
+  }
+  return g > 0 ? g : kDelta;
+}
 
 }  // namespace aggspes::swa

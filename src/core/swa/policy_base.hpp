@@ -1,8 +1,9 @@
 // Shared core of the monoid-family evaluation policies (DESIGN.md § 9,
 // § 11). Every incremental policy — MonoidPolicy (two-stacks), DabaPolicy
-// (worst-case-constant DABA Lite) and FingerTreePolicy (out-of-order-
-// robust aggregation tree) — stores the same authoritative per-(pane, key)
-// Cell and differs only in the per-key cache answering sequential fires.
+// (worst-case-constant DABA Lite) and LatticeMonoidPolicy (one
+// aggregation tree per key, agg_tree.hpp) — stores the same authoritative
+// per-(pane, key) Cell and differs only in the per-key cache answering
+// fires.
 // This header owns everything the caches have in common:
 //
 //   * MonoidPolicyCore — the Cell format, the tuple→cell fold, the
@@ -318,7 +319,7 @@ class FifoMonoidPolicy : public MonoidPolicyCore<In, Agg, Key> {
 namespace aggspes {
 
 /// Monoid machines (SlicedEngine under MonoidPolicy, DabaPolicy or
-/// FingerTreePolicy): f_O reads the key and the instance's WindowAggregate,
+/// LatticeMonoidPolicy): f_O reads the key and the instance's WindowAggregate,
 /// an output carries the aggregate's stamp, the monoid reaches the
 /// machine's policy through the Aggregate constructors that take one, and
 /// frozen epochs can feed a StateQueryHub.

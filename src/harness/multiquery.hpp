@@ -1,8 +1,8 @@
 // Multi-query harness runner (DESIGN.md § 14): RateSource → one
-// MultiQueryMonoidOp hosting cfg.queries on a shared pane lattice → one
+// MultiQueryOp hosting cfg.queries on one pane engine (tree policy) → one
 // MeasuringSink fed by every query outlet. The flow-level metrics
 // (achieved rate, outputs/s, latency percentiles) aggregate all Q output
-// streams; RunResult::per_query slices the lattice's per-query accounting
+// streams; RunResult::per_query slices the engine's per-query accounting
 // (outputs, store-level sheds attributed to the query, its own lateness
 // drops/updates). bench_multiquery drives this at Q ∈ {1, 16, 256} for
 // the marginal-cost-per-query measurement.
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/runtime/multi_query.hpp"
+#include "core/swa/agg_tree.hpp"
 #include "harness/sustainable.hpp"
 
 namespace aggspes::harness {
@@ -23,7 +24,7 @@ namespace aggspes::harness {
 /// cfg.queries becomes a concurrent query over the same keyed stream,
 /// lowered through the shared monoid `m` (the per-query output payload is
 /// the finished aggregate). Shedding, when configured, gates the
-/// lattice's store edge — one decision per tuple, attributed per query —
+/// engine's store edge — one decision per tuple, attributed per query —
 /// so per_query[q].shed is that query's real loss, not a flow-global
 /// total.
 template <typename In, typename Key, typename Agg>
@@ -46,10 +47,11 @@ RunResult run_multiquery(const RunConfig& cfg,
       detail::source_config<In>(cfg, cfg.rate, flush), std::move(gen));
   auto& sink = flow.add<MeasuringSink<Agg>>();
 
-  // Per-query output tallies, bumped inside `lower` on the operator's
-  // thread only; read after the run.
+  // Per-query output tallies, bumped inside each query's f_O on the
+  // operator's thread only; read after the run.
   auto outputs = std::make_shared<std::vector<std::uint64_t>>(n_queries, 0);
-  std::vector<MonoidQuery<Agg, Key, Agg>> queries;
+  using Op = MultiQueryOp<In, Agg, Key, swa::TreeWindowMachine<In, Agg, Key>>;
+  std::vector<typename Op::Query> queries;
   queries.reserve(n_queries);
   for (std::size_t q = 0; q < n_queries; ++q) {
     queries.push_back(
@@ -59,14 +61,13 @@ RunResult run_multiquery(const RunConfig& cfg,
            return std::optional<Agg>(wa.agg);
          }});
   }
-  auto& op = flow.add<MultiQueryMonoidOp<In, Agg, Key, Agg>>(
-      std::move(queries), std::move(f_k), std::move(m));
+  auto& op = flow.add<Op>(std::move(queries), std::move(f_k), std::move(m));
 
   OverloadMonitor monitor(cfg.overload);
   std::optional<Shedder> shedder;
   if (cfg.shed.policy != ShedPolicy::kNone) {
     shedder.emplace(cfg.shed, &monitor);
-    op.lattice().set_shedder(&*shedder);
+    op.machine().set_shedder(&*shedder);
     flow.attach_overload(&monitor);
   }
 
@@ -84,18 +85,18 @@ RunResult run_multiquery(const RunConfig& cfg,
                                  src.emission_seconds(), sink, 0);
   r.backend = "monoid-lattice";
   r.queries = static_cast<int>(n_queries);
-  r.peak_stored = op.lattice().peak_occupancy();
-  r.peak_panes = op.lattice().open_panes();
+  r.peak_stored = op.machine().peak_occupancy();
+  r.peak_panes = op.machine().open_panes();
   for (std::size_t q = 0; q < n_queries; ++q) {
     const int qi = static_cast<int>(q);
     QueryDiag d;
     d.advance = cfg.queries[q].advance;
     d.size = cfg.queries[q].size;
     d.outputs = (*outputs)[q];
-    d.shed = op.lattice().shed_for_query(qi);
-    d.dropped_late = op.lattice().dropped_late(qi);
-    d.late_updates = op.lattice().late_updates(qi);
-    d.fired_instances = op.lattice().fired_instances(qi);
+    d.shed = op.machine().shed_for_query(qi);
+    d.dropped_late = op.machine().dropped_late(qi);
+    d.late_updates = op.machine().late_updates(qi);
+    d.fired_instances = op.machine().fired_instances(qi);
     r.per_query.push_back(d);
   }
   if (shedder) {

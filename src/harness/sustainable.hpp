@@ -109,9 +109,9 @@ struct RunConfig {
   int shards{1};
   /// Multi-query mode (DESIGN.md § 14): when non-empty, run_multiquery
   /// (harness/multiquery.hpp) hosts one window query per spec on a single
-  /// shared pane lattice (MultiQueryMonoidOp) instead of the single-query
-  /// pipelines above, and RunResult carries per-query slices. Shedding
-  /// gates the lattice's store edge (one decision per tuple, attributed
+  /// pane engine (MultiQueryOp) instead of the single-query pipelines
+  /// above, and RunResult carries per-query slices. Shedding gates the
+  /// engine's store edge (one decision per tuple, attributed
   /// per query) rather than source admission.
   std::vector<WindowSpec> queries;
   /// Shed at the Embed operator instead of source admission (DESIGN.md
@@ -141,7 +141,7 @@ struct ShardDiag {
 };
 
 /// One query's slice of a multi-query run (RunResult::per_query): its
-/// spec, outputs emitted, and the shared lattice's per-query accounting —
+/// spec, outputs emitted, and the shared engine's per-query accounting —
 /// store-level sheds attributed to it (Shedder::attribute_query), its own
 /// lateness drops/updates, and walk-fired instances. Shed/late numbers
 /// are per query by construction, not a flow-global total divided by Q.
@@ -192,7 +192,7 @@ struct RunResult {
   int shards{1};
   std::vector<ShardDiag> per_shard;
   /// Multi-query deployment (cfg.queries, DESIGN.md § 14): how many
-  /// queries the shared lattice hosted (1 = classic single-query run) and
+  /// queries the shared engine hosted (1 = classic single-query run) and
   /// per-query slices, empty for single-query runs. outputs_per_s and
   /// latency stay meaningful as the whole-flow aggregates.
   int queries{1};

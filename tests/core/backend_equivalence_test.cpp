@@ -1,6 +1,6 @@
 // Five-backend equivalence under adversarial reordering (`ctest -L
 // backend`): A, A+ and A++ over buffering, sliced-replay, monoid
-// (two-stacks), monoid-daba and finger-tree machines must emit
+// (two-stacks), monoid-daba and tree-policy machines must emit
 // byte-identical (ts, value) streams with identical lateness bookkeeping
 // from the same seeded reorder-injected script — including runs restored
 // from a mid-stream snapshot, and snapshots ported across the
@@ -106,7 +106,7 @@ using machine_matrix::for_each_machine;
 using Buffering = WindowMachine<int, int>;
 using MonoidMachine = swa::MonoidWindowMachine<int, long, int>;
 using DabaMachine = swa::DabaWindowMachine<int, long, int>;
-using FingerMachine = swa::FingerTreeWindowMachine<int, long, int>;
+using TreeMachine = swa::TreeWindowMachine<int, long, int>;
 
 template <typename AddOp>
 Res run_backend(const std::vector<Element<int>>& script, AddOp add_op) {
@@ -196,18 +196,18 @@ TEST(BackendEquivalence, BoundedKeyCachesDoNotChangeOutput) {
     op.machine().policy().set_max_cached_keys(1);  // constant churn
     return op;
   });
-  const Res finger = run_backend(script, [&](Flow& f) -> auto& {
-    auto& op = add_sum<FingerMachine>(f, spec);
+  const Res tree = run_backend(script, [&](Flow& f) -> auto& {
+    auto& op = add_sum<TreeMachine>(f, spec);
     op.machine().policy().set_max_cached_keys(1);
     return op;
   });
   EXPECT_EQ(daba.out, reference.out);
-  EXPECT_EQ(finger.out, reference.out);
+  EXPECT_EQ(tree.out, reference.out);
 }
 
 /// Snapshot a run mid-stream, restore into a fresh graph, continue: the
 /// combined output must equal the uninterrupted run, for both new
-/// backends and across policy swaps (monoid → daba → finger-tree).
+/// backends and across policy swaps (monoid → daba → tree).
 TEST(BackendEquivalence, RestoredRunsMatchUninterrupted) {
   const WindowSpec spec{.advance = 4, .size = 8, .lateness = 4};
   auto tuples = random_tuples(5, 120, 0);
@@ -254,8 +254,8 @@ TEST(BackendEquivalence, RestoredRunsMatchUninterrupted) {
   auto mk_daba = [&](Flow& f) -> auto& {
     return add_sum<DabaMachine>(f, spec);
   };
-  auto mk_finger = [&](Flow& f) -> auto& {
-    return add_sum<FingerMachine>(f, spec);
+  auto mk_tree = [&](Flow& f) -> auto& {
+    return add_sum<TreeMachine>(f, spec);
   };
   auto mk_monoid = [&](Flow& f) -> auto& {
     return add_sum<MonoidMachine>(f, spec);
@@ -264,11 +264,11 @@ TEST(BackendEquivalence, RestoredRunsMatchUninterrupted) {
   for (std::size_t cut : {std::size_t{3}, std::size_t{41}, script.size() - 2}) {
     SCOPED_TRACE("cut=" + std::to_string(cut));
     EXPECT_EQ(cut_and_continue(mk_daba, mk_daba, cut), reference.out);
-    EXPECT_EQ(cut_and_continue(mk_finger, mk_finger, cut), reference.out);
+    EXPECT_EQ(cut_and_continue(mk_tree, mk_tree, cut), reference.out);
     // Cross-policy restores: one codec, any member of the family.
     EXPECT_EQ(cut_and_continue(mk_monoid, mk_daba, cut), reference.out);
-    EXPECT_EQ(cut_and_continue(mk_daba, mk_finger, cut), reference.out);
-    EXPECT_EQ(cut_and_continue(mk_finger, mk_monoid, cut), reference.out);
+    EXPECT_EQ(cut_and_continue(mk_daba, mk_tree, cut), reference.out);
+    EXPECT_EQ(cut_and_continue(mk_tree, mk_monoid, cut), reference.out);
   }
 }
 
@@ -330,39 +330,58 @@ TEST(BackendEquivalence, ResetDiagnosticsClearsPolicyAndLateCounters) {
   EXPECT_EQ(daba.policy().cache_evictions(), 0u);
   EXPECT_EQ(daba.policy().peak_cached_keys(), daba.policy().cached_keys());
 
-  swa::FingerTreeWindowMachine<int, long, int> finger(
-      spec, key_of, swa::FingerTreePolicy<int, long, int>(long_sum()));
-  drive(finger);
-  EXPECT_GT(finger.late_probe().observed(), 0u);
-  EXPECT_GT(finger.policy().cache_evictions(), 0u);
-  finger.reset_diagnostics();
-  EXPECT_EQ(finger.late_probe().observed(), 0u);
-  EXPECT_EQ(finger.peak_occupancy(), finger.occupancy());
-  EXPECT_EQ(finger.policy().cache_evictions(), 0u);
-  EXPECT_EQ(finger.policy().ooo_fixups(), 0u);
+  TreeMachine tree(spec, key_of, long_sum());
+  drive(tree);
+  EXPECT_GT(tree.late_probe().observed(), 0u);
+  EXPECT_GT(tree.policy().cache_evictions(), 0u);
+  EXPECT_GT(tree.policy().rebuilds(), 0u);
+  tree.reset_diagnostics();
+  EXPECT_EQ(tree.late_probe().observed(), 0u);
+  EXPECT_EQ(tree.peak_occupancy(), tree.occupancy());
+  EXPECT_EQ(tree.policy().cache_evictions(), 0u);
+  EXPECT_EQ(tree.policy().rebuilds(), 0u);
 }
 
-/// The finger tree's reason to exist: an out-of-order absorb under a
-/// built cache is a targeted fixup, not a global invalidation.
-TEST(BackendEquivalence, FingerTreeCountsTargetedFixupsForLateArrivals) {
+/// The tree policy's out-of-order property: a late arrival into a pane a
+/// built per-key tree already covers refreshes that one node in place. No
+/// tree is rebuilt, and the re-fired update reads the refreshed partial —
+/// the same values the FIFO policy gets by invalidating and replaying.
+TEST(BackendEquivalence, TreePolicyRefreshesLateArrivalsInPlace) {
   const WindowSpec spec{.advance = 2, .size = 8, .lateness = 10};
-  swa::FingerTreeWindowMachine<int, long, int> m(
-      spec, key_of, swa::FingerTreePolicy<int, long, int>(long_sum()));
-  typename swa::FingerTreeWindowMachine<int, long, int>::FireFn fire =
-      [](Timestamp, const int&, const swa::WindowAggregate<long>&, bool) {};
-  Timestamp w = kMinTimestamp;
-  for (int i = 0; i < 40; ++i) {
-    m.add(Tuple<int>{static_cast<Timestamp>(i), 0, 0}, w, fire);
-    if (i % 4 == 3) {
-      w = i - 2;
-      m.advance(w, fire);  // builds per-key trees over fired ranges
+  auto drive = [&](auto& m, auto late) {
+    using M = std::remove_reference_t<decltype(m)>;
+    std::vector<std::pair<Timestamp, long>> updates;
+    typename M::FireFn fire = [&](Timestamp l, const int&,
+                                  const swa::WindowAggregate<long>& wa,
+                                  bool update) {
+      if (update) updates.emplace_back(l, wa.agg);
+    };
+    Timestamp w = kMinTimestamp;
+    for (int i = 0; i < 40; ++i) {
+      m.add(Tuple<int>{static_cast<Timestamp>(i), 0, i}, w, fire);
+      if (i % 4 == 3) {
+        w = i - 2;
+        m.advance(w, fire);  // builds per-key trees over fired ranges
+      }
     }
-  }
-  EXPECT_EQ(m.policy().ooo_fixups(), 0u);  // in-order: trees untouched
-  // A late tuple into a pane some key's tree already covers.
-  m.add(Tuple<int>{w - 6, 0, 0}, w, fire);
-  EXPECT_GT(m.policy().ooo_fixups(), 0u);
-  EXPECT_GT(m.late_updates(), 0u);
+    late(m);
+    // A late tuple into a pane some key's tree already covers.
+    m.add(Tuple<int>{w - 6, 0, 30}, w, fire);
+    return updates;
+  };
+  TreeMachine tree(spec, key_of, long_sum());
+  std::uint64_t rebuilds = 0;
+  const auto tree_updates = drive(tree, [&](TreeMachine& m) {
+    rebuilds = m.policy().rebuilds();
+    EXPECT_GT(rebuilds, 0u);
+  });
+  EXPECT_EQ(tree.policy().rebuilds(), rebuilds);
+  EXPECT_GT(tree.late_updates(), 0u);
+
+  MonoidMachine fifo(spec, key_of, swa::MonoidPolicy<int, long, int>(long_sum()));
+  const auto fifo_updates = drive(fifo, [](MonoidMachine&) {});
+  EXPECT_FALSE(tree_updates.empty());
+  EXPECT_EQ(tree_updates, fifo_updates);
 }
 
 }  // namespace

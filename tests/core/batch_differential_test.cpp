@@ -10,7 +10,7 @@
 //
 // Also pins the kernel legality story (satellite checks): the
 // kHasBatchAbsorb trait is true exactly for the monoid FIFO family (the
-// replay policy and the out-of-order finger tree have no absorb_run and
+// replay policy and the out-of-order tree policy have no absorb_run and
 // always run scalar), the stock arithmetic monoids carry their kind +
 // kCommutative tags, and untagged monoids never enter a kernel.
 #include <gtest/gtest.h>
@@ -26,7 +26,7 @@
 #include "core/runtime/overload.hpp"
 #include "core/swa/batch_kernels.hpp"
 #include "core/swa/daba.hpp"
-#include "core/swa/finger_tree.hpp"
+#include "core/swa/agg_tree.hpp"
 #include "core/swa/monoid.hpp"
 #include "core/swa/monoid_machine.hpp"
 #include "core/swa/sliced_machine.hpp"
@@ -376,17 +376,16 @@ TEST(BatchKernels, FoldRunMatchesScalarFoldBitForBit) {
 // --- Kernel legality traits (the satellite assertions) ----------------
 
 // The batched absorb exists exactly on the monoid FIFO family; replay
-// (holistic, order-sensitive materialization) and the finger tree (its
-// absorb rebalances a tree per tuple) stay scalar by construction.
+// (holistic, order-sensitive materialization) and the tree policy (its
+// absorb refreshes a tree node per tuple) stay scalar by construction.
 static_assert(swa::MonoidWindowMachine<int, long long, int>::kHasBatchAbsorb,
               "two-stacks must take the batched ingest path");
 static_assert(swa::DabaWindowMachine<int, long long, int>::kHasBatchAbsorb,
               "DABA must take the batched ingest path");
 static_assert(!swa::SlicedWindowMachine<int, int>::kHasBatchAbsorb,
               "replay (holistic) must stay on the scalar path");
-static_assert(
-    !swa::FingerTreeWindowMachine<int, long long, int>::kHasBatchAbsorb,
-    "the out-of-order tree must stay on the scalar path");
+static_assert(!swa::TreeWindowMachine<int, long long, int>::kHasBatchAbsorb,
+              "the out-of-order tree must stay on the scalar path");
 
 TEST(BatchKernels, StockMonoidsCarryKindAndCommutativityTags) {
   EXPECT_EQ(swa::sum_monoid<long long>().kind, MonoidKind::kSum);

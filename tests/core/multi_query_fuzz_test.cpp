@@ -1,9 +1,11 @@
 // Randomized differential fuzzer for multi-query pane sharing
-// (DESIGN.md § 14): a SharedLattice hosting Q concurrent queries must be
-// element-identical, per query, to Q independent single-query flows — the
-// oracles — for every window backend. Spec lattices are generated in four
-// seeded shapes (identical, nested, coprime, degenerate), with random
-// per-query lateness, random key cardinality, out-of-order input and
+// (DESIGN.md § 14): one pane engine hosting Q concurrent queries
+// (MultiQueryOp) must be element-identical, per query, to Q independent
+// single-query flows — the oracles — for every window backend, the
+// buffering WindowMachine among them (the oracle that is not the engine
+// under test). Spec lattices (sets of specs sharing one pane width) are
+// generated in four seeded shapes (identical, nested, coprime,
+// degenerate), with random per-query lateness, random key cardinality, out-of-order input and
 // genuine late arrivals (admitted re-fires and drops). Output multisets
 // are compared because per-instance key fire order is
 // unordered_map-dependent; per-query dropped/late counters pin the
@@ -26,7 +28,7 @@
 #include "core/operators/source.hpp"
 #include "core/runtime/multi_query.hpp"
 #include "core/swa/daba.hpp"
-#include "core/swa/finger_tree.hpp"
+#include "core/swa/agg_tree.hpp"
 #include "core/swa/monoid_machine.hpp"
 #include "core/swa/sliced_machine.hpp"
 
@@ -114,7 +116,7 @@ QueryOutput oracle_replay(const std::vector<Element<int>>& script,
           agg.machine().late_updates()};
 }
 
-/// Oracle for a monoid-family backend (pane-monoid, DABA, finger-tree).
+/// Oracle for a monoid-family backend (pane-monoid, DABA, tree).
 template <typename AggT>
 QueryOutput oracle_monoid(const std::vector<Element<int>>& script,
                           WindowSpec spec, int key_mod) {
@@ -133,19 +135,20 @@ QueryOutput oracle_monoid(const std::vector<Element<int>>& script,
           agg.machine().late_updates()};
 }
 
-/// All Q queries through ONE shared lattice in replay mode.
+/// All Q queries through ONE pane engine in replay mode.
 std::vector<QueryOutput> shared_replay(const std::vector<Element<int>>& script,
                                        const std::vector<WindowSpec>& specs,
                                        int key_mod) {
   Flow flow;
   auto& src = flow.add<ScriptSource<int>>(script);
-  std::vector<ReplayQuery<int, int, int>> queries;
+  using Op = MultiQueryOp<int, int, int>;
+  std::vector<Op::Query> queries;
   for (const WindowSpec& s : specs) {
     queries.push_back({s, [](const WindowView<int, int>& w)
                               -> std::optional<int> { return sum_items(w); }});
   }
-  auto& op = flow.add<MultiQueryReplayOp<int, int, int>>(
-      std::move(queries), [key_mod](const int& v) { return v % key_mod; });
+  auto& op = flow.add<Op>(std::move(queries),
+                          [key_mod](const int& v) { return v % key_mod; });
   std::vector<CollectorSink<int>*> sinks;
   for (std::size_t q = 0; q < specs.size(); ++q) {
     sinks.push_back(&flow.add<CollectorSink<int>>());
@@ -158,25 +161,26 @@ std::vector<QueryOutput> shared_replay(const std::vector<Element<int>>& script,
   std::vector<QueryOutput> r;
   for (std::size_t q = 0; q < specs.size(); ++q) {
     const int qi = static_cast<int>(q);
-    r.push_back({sinks[q]->multiset(), op.lattice().dropped_late(qi),
-                 op.lattice().late_updates(qi)});
+    r.push_back({sinks[q]->multiset(), op.machine().dropped_late(qi),
+                 op.machine().late_updates(qi)});
   }
   return r;
 }
 
-/// All Q queries through ONE shared lattice in monoid mode (per-key
-/// finger-tree range folds over the shared panes).
+/// All Q queries through ONE pane engine in monoid mode (per-key tree
+/// range folds over the shared panes).
 std::vector<QueryOutput> shared_monoid(const std::vector<Element<int>>& script,
                                        const std::vector<WindowSpec>& specs,
                                        int key_mod) {
   Flow flow;
   auto& src = flow.add<ScriptSource<int>>(script);
-  std::vector<MonoidQuery<int, int, int>> queries;
+  using Op = MultiQueryOp<int, int, int, swa::TreeWindowMachine<int, int, int>>;
+  std::vector<Op::Query> queries;
   for (const WindowSpec& s : specs) {
     queries.push_back({s, [](const int&, const swa::WindowAggregate<int>& wa)
                               -> std::optional<int> { return wa.agg; }});
   }
-  auto& op = flow.add<MultiQueryMonoidOp<int, int, int, int>>(
+  auto& op = flow.add<Op>(
       std::move(queries), [key_mod](const int& v) { return v % key_mod; },
       swa::sum_monoid<int>());
   std::vector<CollectorSink<int>*> sinks;
@@ -191,21 +195,21 @@ std::vector<QueryOutput> shared_monoid(const std::vector<Element<int>>& script,
   std::vector<QueryOutput> r;
   for (std::size_t q = 0; q < specs.size(); ++q) {
     const int qi = static_cast<int>(q);
-    r.push_back({sinks[q]->multiset(), op.lattice().dropped_late(qi),
-                 op.lattice().late_updates(qi)});
+    r.push_back({sinks[q]->multiset(), op.machine().dropped_late(qi),
+                 op.machine().late_updates(qi)});
   }
   return r;
 }
 
-enum class Backend { kBuffering, kSlicedReplay, kMonoid, kDaba, kFingerTree };
+enum class Backend { kBuffering, kSlicedReplay, kMonoid, kDaba, kTree };
 
 constexpr Backend kAllBackends[] = {Backend::kBuffering,
                                     Backend::kSlicedReplay, Backend::kMonoid,
-                                    Backend::kDaba, Backend::kFingerTree};
+                                    Backend::kDaba, Backend::kTree};
 
 bool is_monoid_backend(Backend b) {
   return b == Backend::kMonoid || b == Backend::kDaba ||
-         b == Backend::kFingerTree;
+         b == Backend::kTree;
 }
 
 const char* backend_tag(Backend b) {
@@ -214,7 +218,7 @@ const char* backend_tag(Backend b) {
     case Backend::kSlicedReplay: return "sliced-replay";
     case Backend::kMonoid: return "monoid";
     case Backend::kDaba: return "daba";
-    case Backend::kFingerTree: return "finger-tree";
+    case Backend::kTree: return "tree";
   }
   return "?";
 }
@@ -236,15 +240,15 @@ QueryOutput run_oracle(Backend b, const std::vector<Element<int>>& script,
       return oracle_monoid<
           AggregateOp<int, int, int, swa::DabaWindowMachine<int, int, int>>>(
           script, spec, key_mod);
-    case Backend::kFingerTree:
+    case Backend::kTree:
       return oracle_monoid<
-          AggregateOp<int, int, int, swa::FingerTreeWindowMachine<int, int, int>>>(
+          AggregateOp<int, int, int, swa::TreeWindowMachine<int, int, int>>>(
           script, spec, key_mod);
   }
   return {};
 }
 
-/// One fuzz iteration: run the shared lattice once per mode, then for
+/// One fuzz iteration: run the shared engine once per mode, then for
 /// every backend compare each query against its dedicated oracle flow —
 /// multiset-identical output plus exact per-query lateness counters.
 void check_lattice(const std::vector<WindowSpec>& specs, unsigned seed,

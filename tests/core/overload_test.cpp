@@ -19,7 +19,7 @@
 #include "core/runtime/overload.hpp"
 #include "core/runtime/rate_source.hpp"
 #include "core/runtime/threaded_runtime.hpp"
-#include "core/swa/shared_lattice.hpp"
+#include "core/swa/agg_tree.hpp"
 #include "core/swa/sliced_machine.hpp"
 #include "harness/sustainable.hpp"
 
@@ -507,29 +507,28 @@ TEST(ShedAccounting, PerQueryAttributionAccumulates) {
   EXPECT_EQ(shed.shed_by_query().size(), 2u);
 }
 
-TEST(ShedAccounting, SharedLatticeChargesDropsToCoveredQueriesOnly) {
-  // The shared lattice makes ONE store-level drop decision per tuple and
+TEST(ShedAccounting, MultiQueryEngineChargesDropsToCoveredQueriesOnly) {
+  // The pane engine makes ONE store-level drop decision per tuple and
   // charges it only to queries whose instance set contains the tuple: a
   // tuple in query 1's WA > WS sampling gap sheds nothing from query 1.
   OverloadMonitor m;
   m.observe({{100, 100, 0, 100}}, 0, kMinTimestamp);  // pinned overloaded
   Shedder shed({.policy = ShedPolicy::kRandomP, .p_overloaded = 1.0}, &m);
-  swa::MonoidLattice<int, long, int> lattice(
-      {{.advance = 1, .size = 5, .lateness = 0},
-       {.advance = 10, .size = 2, .lateness = 0}},
+  swa::TreeWindowMachine<int, long, int> engine(
+      std::vector<WindowSpec>{{.advance = 1, .size = 5, .lateness = 0},
+                              {.advance = 10, .size = 2, .lateness = 0}},
       [](const int& v) { return v; },
-      swa::LatticeMonoidPolicy<int, long, int>(swa::Monoid<int, long>{
-          0, [](const int& v) { return long{v}; },
-          [](const long& a, const long& b) { return a + b; }}));
-  lattice.set_shedder(&shed);
+      swa::Monoid<int, long>{0, [](const int& v) { return long{v}; },
+                             [](const long& a, const long& b) { return a + b; }});
+  engine.set_shedder(&shed);
   const auto fire = [](int, Timestamp, const int&,
                        const swa::WindowAggregate<long>&, bool) {};
-  lattice.add({5, 0, 1}, kMinTimestamp, fire);   // gap for query 1
-  lattice.add({11, 0, 1}, kMinTimestamp, fire);  // inside [10, 12)
+  engine.add(Tuple<int>{5, 0, 1}, kMinTimestamp, fire);   // gap for query 1
+  engine.add(Tuple<int>{11, 0, 1}, kMinTimestamp, fire);  // inside [10, 12)
   EXPECT_EQ(shed.shed(), 2u);
-  EXPECT_EQ(lattice.shed_for_query(0), 2u);
-  EXPECT_EQ(lattice.shed_for_query(1), 1u);
-  EXPECT_EQ(lattice.open_panes(), 0u) << "refused tuples must not store";
+  EXPECT_EQ(engine.shed_for_query(0), 2u);
+  EXPECT_EQ(engine.shed_for_query(1), 1u);
+  EXPECT_EQ(engine.open_panes(), 0u) << "refused tuples must not store";
 }
 
 TEST(LateProbe, StampsConfiguredQueryOnSampledEvents) {

@@ -2,7 +2,7 @@
 // Table-1 window aggregate as N key-partitioned shards behind the
 // splitter/union pair (DESIGN.md § 13) must not change WHAT is computed:
 // for A, A+ and A++ over every window machine — buffering, sliced replay,
-// monoid two-stacks, DABA, finger tree — the N-shard output is
+// monoid two-stacks, DABA, tree policy — the N-shard output is
 // element-set-equal to an unsharded oracle, for every N, across seeded
 // out-of-order scripts with genuine late drops. The AggBased FlatMap
 // (N Embed/Unfold compositions behind the splitter, § 8) must equal the
@@ -227,8 +227,8 @@ TEST(ShardedEquivalence, DabaBackendMatchesOracleAtEveryWidth) {
   check_machine<swa::DabaWindowMachine<int, int, int>>("daba");
 }
 
-TEST(ShardedEquivalence, FingerTreeBackendMatchesOracleAtEveryWidth) {
-  check_machine<swa::FingerTreeWindowMachine<int, int, int>>("finger-tree");
+TEST(ShardedEquivalence, TreeBackendMatchesOracleAtEveryWidth) {
+  check_machine<swa::TreeWindowMachine<int, int, int>>("tree");
 }
 
 // The same property on the threaded runtime: per-shard monitors attach

@@ -16,7 +16,7 @@
 #include "core/operators/aggregate_eager.hpp"
 #include "core/operators/aggregate_plus.hpp"
 #include "core/swa/daba.hpp"
-#include "core/swa/finger_tree.hpp"
+#include "core/swa/agg_tree.hpp"
 #include "core/swa/monoid_machine.hpp"
 #include "core/swa/sliced_machine.hpp"
 
@@ -113,8 +113,7 @@ void for_each_machine(Fn&& fn) {
   fn.template operator()<swa::SlicedWindowMachine<int, int>>("sliced-replay");
   fn.template operator()<swa::MonoidWindowMachine<int, Agg, int>>("monoid");
   fn.template operator()<swa::DabaWindowMachine<int, Agg, int>>("daba");
-  fn.template operator()<swa::FingerTreeWindowMachine<int, Agg, int>>(
-      "finger-tree");
+  fn.template operator()<swa::TreeWindowMachine<int, Agg, int>>("tree");
 }
 
 }  // namespace aggspes::machine_matrix

@@ -9,7 +9,7 @@
 // candidate (the supervisor falls back to an earlier complete cut),
 // while a kill during GC lands AFTER the durable commit, so cut N is
 // exactly what the restart resumes from. Composition tests run the same
-// matrix through DurableSource WAL replay, the multi-query lattice, and
+// matrix through DurableSource WAL replay, the multi-query engine, and
 // the sharded single-shard repair path; a max_attempts=1 run plus a
 // fresh store on the same directory models a whole-process restart. One
 // more input pins the frozen path itself: for A, A+ and A++ over every
@@ -327,7 +327,8 @@ TEST_F(AsyncCheckpointChaosTest, ComposesWithDurableWalReplay) {
 }
 
 TEST_F(AsyncCheckpointChaosTest, MultiQueryKillKeepsEveryQueryConsistent) {
-  using MQ = MultiQueryMonoidOp<int, long, int, long>;
+  using MQ =
+      MultiQueryOp<int, long, int, swa::TreeWindowMachine<int, long, int>>;
   const std::vector<MQ::Query> queries = {
       {WindowSpec{.advance = 4, .size = 12, .lateness = 4},
        [](const int&, const swa::WindowAggregate<long>& wa)

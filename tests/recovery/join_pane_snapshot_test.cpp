@@ -215,6 +215,25 @@ TEST(JoinPaneSnapshot, UnknownCodecVersionIsRejected) {
   EXPECT_THROW(b.op->restore_from(r), SnapshotError);
 }
 
+// A JoinOp with a StateCodec never writes the no-codec byte: a record that
+// is just [base][0] is not its layout and must not restore an empty store.
+TEST(JoinPaneSnapshot, SerializableJoinRefusesNoCodecByte) {
+  Rig<JoinOp<int, int, int>> a;
+  a.apply({{Step::kLeft, Tuple<int>{2, 0, 4}, 0}});
+  SnapshotWriter w, store_w;
+  a.op->snapshot_to(w);
+  a.op->store().save(store_w);
+  auto bytes = w.take();
+  // [base][version][store][comparisons][dropped_late]
+  const std::size_t at = bytes.size() - store_w.bytes().size() - 16 - 1;
+  ASSERT_EQ(bytes[at], 2) << "codec version tag moved";
+  bytes.resize(at + 1);
+  bytes[at] = 0;  // [base][0]
+
+  Rig<JoinOp<int, int, int>> b;
+  EXPECT_THROW(b.op->restore_record(bytes), SnapshotError);
+}
+
 // Replayed watermarks after restore must not double-drop: the purge is
 // idempotent and counters travel with the snapshot.
 TEST(JoinPaneSnapshot, ReplayedWatermarkIsIdempotent) {

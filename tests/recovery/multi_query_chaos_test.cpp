@@ -1,9 +1,9 @@
 // Multi-query chaos suite (single ctest label `multiquery-chaos`, matched
-// by both `-L multiquery` and `-L chaos`): the shared pane lattice is one
-// object whose snapshot cut must cover every hosted query at once. Three
-// attacks on that property:
-//   1. explicit mid-run checkpoint/restore of the operator (both lattice
-//      modes, several cut points) — prefix + suffix output must equal the
+// by both `-L multiquery` and `-L chaos`): the pane engine behind
+// MultiQueryOp is one object whose snapshot cut must cover every hosted
+// query at once. Three attacks on that property:
+//   1. explicit mid-run checkpoint/restore of the operator (tree-policy
+//      and replay engines, several cut points) — prefix + suffix output must equal the
 //      uninterrupted run, query by query;
 //   2. supervised seed-driven crashes/stalls/drops with checkpoint
 //      restore and source rewind — every query's output multiset must
@@ -30,6 +30,7 @@
 #include "core/recovery/replay_source.hpp"
 #include "core/recovery/supervisor.hpp"
 #include "core/runtime/multi_query.hpp"
+#include "core/swa/agg_tree.hpp"
 
 namespace aggspes {
 namespace {
@@ -41,7 +42,7 @@ constexpr std::size_t kMarkerEvery = 16;
 constexpr std::size_t kGroupCommit = 8;
 constexpr std::size_t kVolumeBytes = 512;
 
-// Mixed lattice: true panes, nested, tumbling, and a distinct-lateness
+// Mixed specs: true panes, nested, tumbling, and a distinct-lateness
 // pair — shared pane width gcd(...) = 1 via the {3,3} spec.
 const std::vector<WindowSpec> kSpecs = {
     {.advance = 2, .size = 6, .lateness = 2},
@@ -63,15 +64,16 @@ std::vector<Tuple<int>> random_stream(unsigned seed, int n) {
   return v;
 }
 
-using MqMonoid = MultiQueryMonoidOp<int, long, int, long>;
-using MqReplay = MultiQueryReplayOp<int, long, int>;
+using MqMonoid =
+    MultiQueryOp<int, long, int, swa::TreeWindowMachine<int, long, int>>;
+using MqReplay = MultiQueryOp<int, long, int>;
 using Outputs = std::vector<std::multiset<std::pair<Timestamp, long>>>;
 
 int key_of(const int& v) { return v % 3; }
 
 template <typename FlowT>
 MqMonoid& add_mq_monoid(FlowT& f) {
-  std::vector<MonoidQuery<long, int, long>> queries;
+  std::vector<MqMonoid::Query> queries;
   for (const WindowSpec& s : kSpecs) {
     queries.push_back({s, [](const int&, const swa::WindowAggregate<long>& wa)
                               -> std::optional<long> { return wa.agg; }});
@@ -85,7 +87,7 @@ MqMonoid& add_mq_monoid(FlowT& f) {
 
 template <typename FlowT>
 MqReplay& add_mq_replay(FlowT& f) {
-  std::vector<ReplayQuery<int, long, int>> queries;
+  std::vector<MqReplay::Query> queries;
   for (const WindowSpec& s : kSpecs) {
     queries.push_back({s, [](const WindowView<int, int>& w)
                               -> std::optional<long> {
@@ -244,7 +246,7 @@ TEST(MultiQueryChaos, ReplayLatticeSeedDrivenCrashesAreExactlyOnce) {
 }
 
 /// Attack 3: crash DURING a WAL append and restart — the durable source
-/// re-serves the acked suffix from WAL bytes, and the restored lattice
+/// re-serves the acked suffix from WAL bytes, and the restored engine
 /// must keep all Q outputs exactly-once.
 TEST(MultiQueryChaos, KillDuringWalAppendReplaysAllQueriesExactlyOnce) {
   const fs::path root =

@@ -3,8 +3,9 @@
 // and replayed watermarks must not re-fire restored instances. Pane
 // cells, fired flags and cursors are the persisted truth; the monoid
 // backend's two-stacks caches are rebuilt after load and must not change
-// any output. Every Aggregate over every machine writes one layout — a
-// version byte, then the machine's save() — and rejects any other byte.
+// any output. Every Aggregate over every machine, and every MultiQueryOp,
+// writes one layout — a version byte, then the engine's save() — and
+// rejects any other byte.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,8 +19,9 @@
 #include "core/operators/aggregate.hpp"
 #include "core/operators/sink.hpp"
 #include "core/operators/source.hpp"
+#include "core/runtime/multi_query.hpp"
+#include "core/swa/agg_tree.hpp"
 #include "core/swa/monoid_machine.hpp"
-#include "core/swa/shared_lattice.hpp"
 #include "core/swa/sliced_machine.hpp"
 #include "machine_matrix.hpp"
 
@@ -216,9 +218,10 @@ TEST(SwaSnapshot, MonoidLateUpdateSpansCut) {
   });
 }
 
-// The shared Aggregate layout: [base][version][machine save]. Version 0
-// (no state) restores to a fresh operator; 1 (the old has_state bool), 2
-// (the old monoid layout) and any other byte raise SnapshotError.
+// The shared Aggregate layout: [base][version][machine save]. A node with
+// a codec accepts only its own version byte: 0 (the no-codec byte), 1 (the
+// old has_state bool), 2 (the old monoid layout), 3 (the single-query
+// engine layout) and any other byte raise SnapshotError.
 TEST(SwaSnapshot, UnknownCodecVersionIsRejected) {
   const auto key = [](const int& v) { return v % 2; };
   machine_matrix::for_each_machine<long>([&]<typename M>(const char* name) {
@@ -234,19 +237,14 @@ TEST(SwaSnapshot, UnknownCodecVersionIsRejected) {
     const std::size_t at = bytes.size() - machine_w.bytes().size() - 1;
     ASSERT_EQ(bytes[at], kAggregateCodecVersion);
 
-    for (std::uint8_t version : {0, 1, 2, 4, 255}) {
+    for (std::uint8_t version : {0, 1, 2, 3, 5, 255}) {
       auto patched = bytes;
       patched[at] = version;
       Flow b;
       auto& agg2 = machine_matrix::add_sum<long, M>(b, kSpec, key);
       SnapshotReader r(patched);
-      if (version == 0) {
-        agg2.restore_from(r);
-        EXPECT_EQ(agg2.machine().occupancy(), 0u);
-      } else {
-        EXPECT_THROW(agg2.restore_from(r), SnapshotError)
-            << "version " << int{version};
-      }
+      EXPECT_THROW(agg2.restore_from(r), SnapshotError)
+          << "version " << int{version};
     }
   });
 }
@@ -274,10 +272,11 @@ TEST(SwaSnapshot, ReplayCellWithInflatedEntryCountIsRejected) {
 }
 
 TEST(SwaSnapshot, SlicedEngineWithInflatedCountsIsRejected) {
-  // Pane count, then (one pane at 4) its cell count, then (no panes) the
-  // fired-flag count.
-  for (const auto& bytes : {inflated_after({}), inflated_after({1, 4}),
-                            inflated_after({0})}) {
+  // Pane count, then (one pane at 4) its cell count, then (no panes, seq
+  // counter 0) the query count, then (one query) its fired-flag count.
+  for (const auto& bytes :
+       {inflated_after({}), inflated_after({1, 4}), inflated_after({0, 0}),
+        inflated_after({0, 0, 1})}) {
     swa::SlicedWindowMachine<int, int> m(kSpec, [](const int& v) { return v; });
     SnapshotReader r(bytes);
     EXPECT_THROW(m.load(r), SnapshotError);
@@ -293,17 +292,118 @@ TEST(SwaSnapshot, WindowMachineWithInflatedCountsIsRejected) {
   }
 }
 
-TEST(SwaSnapshot, SharedLatticeWithInflatedCountsIsRejected) {
+TEST(SwaSnapshot, MultiQueryEngineWithInflatedCountsIsRejected) {
   // Pane count, then (one pane at 4) its cell count, then (no panes, seq
-  // cursor 0) the query count, then (one query) its fired-flag count.
+  // counter 0) the query count, then (two queries) query 0's fired-flag
+  // count.
   for (const auto& bytes :
        {inflated_after({}), inflated_after({1, 4}), inflated_after({0, 0}),
-        inflated_after({0, 0, 1})}) {
-    swa::ReplayLattice<int, int> lattice({kSpec},
-                                         [](const int& v) { return v; });
+        inflated_after({0, 0, 2})}) {
+    swa::SlicedWindowMachine<int, int> engine(
+        std::vector<WindowSpec>{kSpec, {.advance = 2, .size = 6}},
+        [](const int& v) { return v; });
     SnapshotReader r(bytes);
-    EXPECT_THROW(lattice.load(r), SnapshotError);
+    EXPECT_THROW(engine.load(r), SnapshotError);
   }
+}
+
+// --- MultiQueryOp layout ------------------------------------------------------
+
+using MqTree =
+    MultiQueryOp<int, long, int, swa::TreeWindowMachine<int, long, int>>;
+
+MqTree& add_mq(Flow& f, const std::vector<WindowSpec>& specs) {
+  std::vector<MqTree::Query> queries;
+  for (const WindowSpec& s : specs) {
+    queries.push_back({s, [](const int&, const swa::WindowAggregate<long>& wa)
+                              -> std::optional<long> { return wa.agg; }});
+  }
+  return f.add<MqTree>(
+      std::move(queries), [](const int& v) { return v % 2; },
+      swa::Monoid<int, long>{0, [](const int& v) { return long{v}; },
+                             [](const long& a, const long& b) { return a + b; }});
+}
+
+const std::vector<WindowSpec> kMqSpecs = {kSpec,
+                                          {.advance = 2, .size = 6}};
+
+/// A two-query operator after a few tuples, plus the offset of its
+/// version byte (right before the engine's save()).
+std::pair<SnapshotWriter::Bytes, std::size_t> mq_cut() {
+  Flow a;
+  auto& op = add_mq(a, kMqSpecs);
+  op.in(0).receive(Element<int>{Tuple<int>{2, 0, 5}});
+  op.in(0).receive(Element<int>{Tuple<int>{5, 0, 3}});
+  a.drain();
+  SnapshotWriter w, engine_w;
+  op.snapshot_to(w);
+  op.machine().save(engine_w);
+  auto bytes = w.take();
+  const std::size_t at = bytes.size() - engine_w.bytes().size() - 1;
+  return {std::move(bytes), at};
+}
+
+TEST(SwaSnapshot, MultiQueryOpRejectsOtherVersionBytes) {
+  const auto [bytes, at] = mq_cut();
+  ASSERT_EQ(bytes[at], kMultiQueryCodecVersion);
+  {
+    Flow b;
+    auto& op = add_mq(b, kMqSpecs);
+    op.restore_record(bytes);
+    EXPECT_EQ(op.machine().occupancy(), 2u);
+  }
+  // 0 is the no-codec byte, 1 the two-operator layout with its cache knob.
+  for (std::uint8_t version : {0, 1, 3, 255}) {
+    auto patched = bytes;
+    patched[at] = version;
+    Flow b;
+    auto& op = add_mq(b, kMqSpecs);
+    EXPECT_THROW(op.restore_record(patched), SnapshotError)
+        << "version " << int{version};
+  }
+}
+
+TEST(SwaSnapshot, MultiQueryOpRejectsQueryCountMismatch) {
+  const auto [bytes, at] = mq_cut();
+  for (const auto& specs :
+       {std::vector<WindowSpec>{kSpec},
+        std::vector<WindowSpec>{kSpec, kSpec, {.advance = 2, .size = 6}}}) {
+    Flow b;
+    auto& op = add_mq(b, specs);
+    EXPECT_THROW(op.restore_record(bytes), SnapshotError)
+        << specs.size() << " registered queries";
+  }
+}
+
+// A node with a StateCodec never writes the no-codec byte, so a record
+// that is just [base][0] is not a layout it wrote: it must not restore an
+// empty window.
+TEST(SwaSnapshot, SerializableAggregateRefusesNoCodecByte) {
+  machine_matrix::for_each_machine<long>([&]<typename M>(const char* name) {
+    SCOPED_TRACE(name);
+    Flow a;
+    auto& agg = machine_matrix::add_sum<long, M>(a, kSpec,
+                                                 [](const int& v) { return v; });
+    SnapshotWriter w, machine_w;
+    agg.snapshot_to(w);
+    agg.machine().save(machine_w);
+    auto bytes = w.take();
+    bytes.resize(bytes.size() - machine_w.bytes().size());
+    bytes.back() = 0;  // [base][0]
+    Flow b;
+    auto& agg2 = machine_matrix::add_sum<long, M>(b, kSpec,
+                                                  [](const int& v) { return v; });
+    EXPECT_THROW(agg2.restore_record(bytes), SnapshotError);
+  });
+}
+
+TEST(SwaSnapshot, SerializableMultiQueryOpRefusesNoCodecByte) {
+  auto [bytes, at] = mq_cut();
+  bytes.resize(at + 1);
+  bytes[at] = 0;  // [base][0]
+  Flow b;
+  auto& op = add_mq(b, kMqSpecs);
+  EXPECT_THROW(op.restore_record(bytes), SnapshotError);
 }
 
 }  // namespace
