@@ -1,7 +1,7 @@
 // Ablation 4 — parallel AggBased deployments (§ 8 future work): a logical
 // AggBased FM deployed as N physical Embed/Unfold compositions behind a
-// key splitter. Since PR 7 this rides the production sharding path —
-// RunConfig::shards → ShardedFlow (splitter → N ingress/op shards →
+// key splitter. This rides the production sharding path —
+// RunConfig::shards → ShardedFlow (splitter → N operator shards →
 // watermark-merging union) — so the ablation and the sharded runtime
 // exercise one code path instead of the seed's ParallelAggBasedFlatMap
 // wrapper. The point remains: (a) parallel deployment is expressible in

@@ -49,7 +49,9 @@ int main() {
       if (p.r.achieved_per_s > row.best) {
         row.best = p.r.achieved_per_s;
         row.routed.clear();
-        for (const ShardDiag& d : p.r.per_shard) row.routed.push_back(d.routed);
+        for (const aggspes::ShardStats& st : p.r.per_shard) {
+          row.routed.push_back(st.routed);
+        }
       }
       row.ladder.push_back(std::move(p));
     }

@@ -4,15 +4,19 @@
 // broadcast so every instance can make progress.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/graph.hpp"
 #include "core/hashing.hpp"
+#include "core/recovery/durable_source.hpp"
+#include "core/recovery/input_log.hpp"
+#include "core/runtime/overload.hpp"
 #include "core/types.hpp"
 
 namespace aggspes {
@@ -43,24 +47,59 @@ inline std::size_t shard_of_hash(std::size_t h, std::size_t n) {
 /// key space straight into shard skew. The mix makes the route depend on
 /// all 64 hash bits. (Equal hashes of UNEQUAL keys also co-locate; that is
 /// harmless — co-location is required, separation is best-effort.)
+///
+/// The splitter is also every output's admission edge (DESIGN.md § 13).
+/// Per output s it may hold:
+///  * a Shedder, asked `admit(key hash, ts, last watermark seen)` before
+///    the push; a refused tuple counts as routed but is never sent;
+///  * a WAL partition. Every admitted tuple and every watermark is encoded
+///    (wal_codec) and appended BEFORE the push, so the log always holds
+///    what output s has seen; `logged(s)` is the partition's sequence
+///    number (== InputLog seqno on a fresh partition). On a
+///    CheckpointMarker every log syncs and notes the cut (checkpoint id
+///    covers [1, logged(s)]) before the barrier completes, so the
+///    snapshotted cursor and the noted cut always agree. EndOfStream is
+///    not logged (it is a shutdown signal, not data — a repair replay
+///    appends its own); it only forces a final sync.
 template <typename T, typename Key>
 class KeySplitter final : public NodeBase {
  public:
   using KeyFn = std::function<Key(const T&)>;
 
-  KeySplitter(int n, KeyFn key_fn)
+  /// `shedders` and `wals` are each empty (no gate / not durable) or hold
+  /// one externally owned entry per output.
+  KeySplitter(int n, KeyFn key_fn, std::vector<Shedder*> shedders = {},
+              std::vector<InputLog*> wals = {})
       : key_fn_(std::move(key_fn)),
         outs_(static_cast<std::size_t>(n)),
-        routed_(static_cast<std::size_t>(n), 0),
-        port_([this](const Element<T>& e) { receive(e); }) {}
+        shedders_(std::move(shedders)),
+        wals_(std::move(wals)),
+        routed_(outs_.size(), 0),
+        logged_(outs_.size(), 0),
+        port_([this](const Element<T>& e) { receive(e); },
+              [this](const Tuple<T>* ts, std::size_t k) {
+                for (std::size_t i = 0; i < k; ++i) route(ts[i]);
+              }) {
+    if ((!shedders_.empty() && shedders_.size() != outs_.size()) ||
+        (!wals_.empty() && wals_.size() != outs_.size())) {
+      throw std::invalid_argument(
+          "KeySplitter: shedders and WALs must be empty or one per output");
+    }
+    if constexpr (!SnapshotSerializable<T>) {
+      if (!wals_.empty()) {
+        throw std::invalid_argument(
+            "KeySplitter: a WAL needs a payload with a StateCodec");
+      }
+    }
+  }
 
   Consumer<T>& in() { return port_; }
   Outlet<T>& out(int i) { return outs_[static_cast<std::size_t>(i)]; }
   int instances() const { return static_cast<int>(outs_.size()); }
 
-  /// Tuples routed to output `i` so far (diagnostics: the harness surfaces
-  /// these as per-shard routed counts; the skew test reads them to show a
-  /// hot key concentrating on one shard).
+  /// Tuples routed to output `i` so far, shed ones included (the harness
+  /// surfaces these as per-shard routed counts; the skew test reads them
+  /// to show a hot key concentrating on one shard).
   std::uint64_t routed(int i) const {
     return routed_[static_cast<std::size_t>(i)];
   }
@@ -69,96 +108,118 @@ class KeySplitter final : public NodeBase {
     for (auto& c : routed_) c = 0;
   }
 
-  /// Checkpoint codec v2: [u8 version][per-output routed counters].
-  static constexpr std::uint8_t kCodecVersion = 2;
+  /// Elements appended to output `i`'s WAL so far (its replay cursor).
+  std::uint64_t logged(int i) const {
+    return logged_[static_cast<std::size_t>(i)];
+  }
+
+  /// Checkpoint codec v3: [u8 version][n][routed_s, logged_s]×n.
+  static constexpr std::uint8_t kCodecVersion = 3;
 
   void snapshot_to(SnapshotWriter& w) const override {
     w.write_pod(kCodecVersion);
-    w.write_size(routed_.size());
-    for (std::uint64_t c : routed_) w.write_u64(c);
+    w.write_size(outs_.size());
+    for (std::size_t s = 0; s < outs_.size(); ++s) {
+      w.write_u64(routed_[s]);
+      w.write_u64(logged_[s]);
+    }
   }
 
   void restore_from(SnapshotReader& r) override {
+    const auto cursors = read_cursors(r);
+    if (cursors.size() != outs_.size()) {
+      throw SnapshotError("KeySplitter: output count mismatch in snapshot");
+    }
+    for (std::size_t s = 0; s < cursors.size(); ++s) {
+      routed_[s] = cursors[s].first;
+      logged_[s] = cursors[s].second;
+    }
+  }
+
+  /// Output `shard`'s logged cursor in a whole record written by
+  /// snapshot_to, read without a live node: the shard supervisor takes
+  /// the failed shard's cut cursor straight from the CheckpointStore.
+  static std::uint64_t decode_logged(const SnapshotWriter::Bytes& bytes,
+                                     int shard) {
+    SnapshotReader r(bytes);
+    const auto cursors = read_cursors(r);
+    if (!r.exhausted()) {
+      throw SnapshotError("KeySplitter: record has " +
+                          std::to_string(r.remaining()) + " unread bytes");
+    }
+    if (shard < 0 || static_cast<std::size_t>(shard) >= cursors.size()) {
+      throw SnapshotError("KeySplitter: shard " + std::to_string(shard) +
+                          " out of " + std::to_string(cursors.size()));
+    }
+    return cursors[static_cast<std::size_t>(shard)].second;
+  }
+
+ private:
+  static std::vector<std::pair<std::uint64_t, std::uint64_t>> read_cursors(
+      SnapshotReader& r) {
     const auto version = r.read_pod<std::uint8_t>();
     if (version != kCodecVersion) {
       throw SnapshotError("KeySplitter: unknown codec version " +
                           std::to_string(version));
     }
-    const std::size_t n = r.read_count();
-    if (n != routed_.size()) {
-      throw SnapshotError("KeySplitter: output count mismatch in snapshot");
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> cursors(
+        r.read_count());
+    for (auto& [routed, logged] : cursors) {
+      routed = r.read_u64();
+      logged = r.read_u64();
     }
-    for (auto& c : routed_) c = r.read_u64();
+    return cursors;
   }
 
- private:
+  void route(const Tuple<T>& t) {
+    const std::uint64_t h = std::hash<Key>{}(key_fn_(t.value));
+    const std::size_t s = shard_of_hash(h, outs_.size());
+    ++routed_[s];
+    if (!shedders_.empty() && !shedders_[s]->admit(h, t.ts, watermark_)) {
+      return;
+    }
+    Element<T> e{t};
+    append(s, e);
+    outs_[s].push(std::move(e));
+  }
+
   void receive(const Element<T>& e) {
     if (const auto* t = std::get_if<Tuple<T>>(&e)) {
-      const std::size_t idx =
-          shard_of_hash(std::hash<Key>{}(key_fn_(t->value)), outs_.size());
-      ++routed_[idx];
-      outs_[idx].push(e);
-    } else {
-      // Watermarks, markers and end-of-stream are broadcast; a marker
-      // additionally closes this node's barrier (snapshotting the routing
-      // counters) before fanning out, so alignment proceeds per physical
-      // instance downstream.
-      if (const auto* m = std::get_if<CheckpointMarker>(&e)) {
-        this->complete_barrier(m->id);
+      route(*t);
+      return;
+    }
+    if (const auto* w = std::get_if<Watermark>(&e)) {
+      watermark_ = std::max(watermark_, w->ts);
+      for (std::size_t s = 0; s < outs_.size(); ++s) append(s, e);
+    } else if (const auto* m = std::get_if<CheckpointMarker>(&e)) {
+      // The logs note the cut before the barrier snapshots the cursors;
+      // alignment then proceeds per physical instance downstream.
+      for (std::size_t s = 0; s < wals_.size(); ++s) {
+        wals_[s]->sync();
+        wals_[s]->note_checkpoint(m->id, logged_[s]);
       }
-      for (auto& o : outs_) o.push(e);
+      this->complete_barrier(m->id);
+    } else {
+      for (InputLog* wal : wals_) wal->sync();
+    }
+    for (auto& o : outs_) o.push(e);
+  }
+
+  void append(std::size_t s, const Element<T>& e) {
+    if constexpr (SnapshotSerializable<T>) {
+      if (wals_.empty()) return;
+      wals_[s]->append(wal_codec::encode<T>(e));
+      ++logged_[s];
     }
   }
 
   KeyFn key_fn_;
   std::vector<Outlet<T>> outs_;
+  std::vector<Shedder*> shedders_;
+  std::vector<InputLog*> wals_;
   std::vector<std::uint64_t> routed_;
-  Port<T> port_;
-};
-
-/// Routes tuples round-robin (valid for stateless operators, § 2.2);
-/// broadcasts watermarks and end-of-stream.
-template <typename T>
-class RoundRobinSplitter final : public NodeBase {
- public:
-  explicit RoundRobinSplitter(int n)
-      : outs_(static_cast<std::size_t>(n)),
-        port_([this](const Element<T>& e) { receive(e); }) {}
-
-  Consumer<T>& in() { return port_; }
-  Outlet<T>& out(int i) { return outs_[static_cast<std::size_t>(i)]; }
-  int instances() const { return static_cast<int>(outs_.size()); }
-
-  /// The round-robin cursor is state: replayed tuples must route to the
-  /// same instances they reached before the failure.
-  void snapshot_to(SnapshotWriter& w) const override {
-    w.write_size(next_);
-  }
-  void restore_from(SnapshotReader& r) override {
-    const std::size_t next = r.read_size();
-    if (next >= outs_.size()) {
-      throw SnapshotError("RoundRobinSplitter: cursor " +
-                          std::to_string(next) + " out of " +
-                          std::to_string(outs_.size()) + " outputs");
-    }
-    next_ = next;
-  }
-
- private:
-  void receive(const Element<T>& e) {
-    if (is_tuple(e)) {
-      outs_[next_].push(e);
-      next_ = (next_ + 1) % outs_.size();
-    } else {
-      if (const auto* m = std::get_if<CheckpointMarker>(&e)) {
-        this->complete_barrier(m->id);
-      }
-      for (auto& o : outs_) o.push(e);
-    }
-  }
-
-  std::vector<Outlet<T>> outs_;
-  std::size_t next_{0};
+  std::vector<std::uint64_t> logged_;
+  Timestamp watermark_{kMinTimestamp};
   Port<T> port_;
 };
 

@@ -2,12 +2,14 @@
 //
 // A ShardedFlow deploys one logical Table-1 operator as
 //
-//   source → KeySplitter → [ShardIngress → operator copy → tap]×N → UnionOp
+//   source → KeySplitter → [operator copy → tap]×N → UnionOp
 //
 // and the plan records what the *dynamic* machinery needs to know about
 // that shape after the fact: which add()-order node indices belong to
 // which shard (checkpoint-cut composition and crash attribution key off
-// node indices), and where each shard's WAL partition lives on disk.
+// node indices), and where each shard's WAL partition lives on disk. The
+// splitter is shared: it gates and logs every shard's input, and its
+// record in a cut carries each shard's WAL cursor.
 //
 // Consistent-cut composition. Post-routing, shards are shared-nothing:
 // there is no edge between two nodes of different shards, only
@@ -32,8 +34,8 @@
 namespace aggspes {
 
 /// Post-run diagnostics for one shard, assembled by ShardedFlow and
-/// surfaced through RunResult (per-shard routed counts, shed, health,
-/// peak occupancy).
+/// surfaced as RunResult::per_shard (per-shard routed counts, shed,
+/// health, peak occupancy).
 struct ShardStats {
   std::uint64_t routed{0};       ///< tuples the splitter sent this shard
   std::uint64_t shed{0};         ///< tuples this shard's Shedder dropped

@@ -7,7 +7,7 @@
 // keeps the healthy watermarks flowing), and everything OUTSIDE shard s
 // keeps running to completion: the splitter routes the rest of the input
 // (pushes into the dead shard's channel are dropped by the runtime; the
-// shard's ShardIngress keeps appending its routed slice to the shard WAL
+// splitter appends shard s's slice to the shard WAL before each push
 // regardless, so the log holds the shard's COMPLETE admitted input), and
 // the healthy shards drain normally, leaving their full output streams in
 // their taps. run() then surfaces the failure as a FlowError.
@@ -21,17 +21,19 @@
 //
 // — restores the operator copy and the sink (the shard's tap) from the
 // last complete consistent cut, and runs it to quiescence. Because the
-// composed cut is consistent per shard (shard_plan.hpp) and the ingress
+// composed cut is consistent per shard (shard_plan.hpp) and the splitter
 // noted `checkpoint id ⇔ WAL seqno` at the same barrier that snapshotted
-// its cursor, "restore at cut + replay (cut, durable]" regrows exactly
-// the shard's post-cut output: the merged result (healthy taps + repaired
-// shard output) is multiset-identical to a fault-free run. Work replayed
-// is bounded by one shard's barrier interval, not the whole flow's input.
+// its per-shard cursors, "restore at cut + replay (cut, durable]" regrows
+// exactly the shard's post-cut output: the merged result (healthy taps +
+// repaired shard output) is multiset-identical to a fault-free run. Work
+// replayed is bounded by one shard's barrier interval, not the whole flow's
+// input.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -47,7 +49,7 @@
 namespace aggspes {
 
 /// Replays one shard's WAL partition from `from_seqno` (inclusive) and
-/// ends the stream. The ingress never logs EndOfStream, so the replay
+/// ends the stream. The splitter never logs EndOfStream, so the replay
 /// bounds the stream itself; logged watermarks replay in order, which is
 /// what fires the restored operator's remaining windows.
 template <typename T>
@@ -93,8 +95,9 @@ struct ShardRepairReport {
 /// complete cut in `store`, replays its WAL suffix, and returns the
 /// shard's complete output. `factory` must be the same factory `sf` was
 /// built with (it re-adds the operator copy's nodes in the same order;
-/// state is restored positionally). Requires the ShardedFlow to have been
-/// built with per-shard WALs and tap_outputs.
+/// state is restored positionally, so it must list them in
+/// ShardEndpoints::nodes). Requires the ShardedFlow to have been built
+/// with per-shard WALs and tap_outputs.
 template <typename In, typename Out, typename Key, typename FactoryT>
 ShardRepairReport<Out> repair_shard(ShardedFlow<In, Out, Key>& sf, int shard,
                                     const CheckpointStore& store,
@@ -105,7 +108,7 @@ ShardRepairReport<Out> repair_shard(ShardedFlow<In, Out, Key>& sf, int shard,
         "repair_shard: shard was not built with a WAL partition and an "
         "output tap");
   }
-  // Make every append the ingress issued before the crash replayable
+  // Make every append the splitter issued before the crash replayable
   // (same process, so the group-commit buffer survived the thread death;
   // a real process crash would instead lose the unsynced tail AND the
   // downstream effects of those elements — still consistent).
@@ -115,9 +118,10 @@ ShardRepairReport<Out> repair_shard(ShardedFlow<In, Out, Key>& sf, int shard,
   rep.shard = shard;
   rep.restored_checkpoint = store.latest_complete();
   if (rep.restored_checkpoint) {
-    if (auto bytes = store.find(sf.ingress_index(shard),
+    if (auto bytes = store.find(sf.splitter_index(),
                                 *rep.restored_checkpoint)) {
-      rep.replay_from = ShardIngress<In>::decode_logged(*bytes) + 1;
+      rep.replay_from =
+          KeySplitter<In, Key>::decode_logged(*bytes, shard) + 1;
     }
   }
 
@@ -130,7 +134,13 @@ ShardRepairReport<Out> repair_shard(ShardedFlow<In, Out, Key>& sf, int shard,
 
   if (rep.restored_checkpoint) {
     const std::vector<std::size_t>& ops = sf.op_indices(shard);
-    for (std::size_t k = 0; k < ops.size() && k < ep.nodes.size(); ++k) {
+    if (ep.nodes.size() != ops.size()) {
+      throw std::logic_error(
+          "repair_shard: the factory lists " +
+          std::to_string(ep.nodes.size()) + " nodes, the cut holds " +
+          std::to_string(ops.size()));
+    }
+    for (std::size_t k = 0; k < ops.size(); ++k) {
       if (auto bytes = store.find(ops[k], *rep.restored_checkpoint)) {
         ep.nodes[k]->restore_record(*bytes);
       }

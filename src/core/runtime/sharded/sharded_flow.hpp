@@ -1,18 +1,18 @@
 // ShardedFlow: deploy one logical operator as N key-partitioned shards
 // (DESIGN.md § 13).
 //
-//   in → KeySplitter ─┬→ ShardIngress₀ → op copy₀ ─┬→ UnionOp → out
-//                     ├→ ShardIngress₁ → op copy₁ ─┤      (+ per-shard tap)
-//                     └→ …                         ┘
+//   in → KeySplitter ─┬→ op copy₀ ─┬→ UnionOp → out
+//                     ├→ op copy₁ ─┤   (+ per-shard tap)
+//                     └→ …         ┘
 //
 // The splitter routes by mix(hash(f_K)) mod N (co-location contract in
-// key_partition.hpp), the union merges watermarks end-aware (union_op.hpp),
-// and between them each shard owns its whole failure domain:
+// key_partition.hpp) and is every shard's admission edge: per output it
+// holds the shard's Shedder gate and, in durable mode, the shard-local WAL
+// partition, appending every admitted element before it is pushed so the
+// shard's input can be replayed without touching its siblings. The union
+// merges watermarks end-aware (union_op.hpp). Between them each shard owns
+// its whole failure domain:
 //
-//  * a ShardIngress — the shard's admission edge: per-shard Shedder gate,
-//    routed/admitted accounting, and (in durable mode) the shard-local
-//    WAL partition, appending every admitted element before it is pushed
-//    so the shard's input can be replayed without touching its siblings;
 //  * the operator copy built by a caller-supplied factory (any Table-1
 //    registry entry — the factory just wires the same nodes it would wire
 //    for a 1-shard flow);
@@ -27,7 +27,6 @@
 // without its healthy siblings dropping a single tuple.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -38,136 +37,14 @@
 
 #include "core/graph.hpp"
 #include "core/operators/key_partition.hpp"
-#include "core/operators/operator_base.hpp"
 #include "core/operators/sink.hpp"
 #include "core/operators/union_op.hpp"
-#include "core/recovery/durable_source.hpp"
 #include "core/recovery/input_log.hpp"
 #include "core/runtime/overload.hpp"
 #include "core/runtime/sharded/shard_plan.hpp"
 #include "core/types.hpp"
 
 namespace aggspes {
-
-/// One shard's admission edge: shed gate, accounting, and (durable mode)
-/// the shard-local WAL partition. Sits between the splitter and the
-/// shard's operator copy.
-///
-/// WAL protocol: every admitted tuple and every watermark is encoded
-/// (wal_codec) and appended BEFORE being pushed downstream, so the log is
-/// always a superset of what the operator copy has seen; `logged()` is the
-/// shard-local sequence number (== InputLog seqno on a fresh partition).
-/// On a CheckpointMarker the ingress syncs the log and notes the cut
-/// (checkpoint id covers [1, logged()]) before completing its barrier, so
-/// the snapshotted cursor and the noted cut always agree. EndOfStream is
-/// not logged (it is a shutdown signal, not data — the repair replay
-/// appends its own); it only forces a final sync.
-template <typename T>
-class ShardIngress final : public UnaryNode<T, T> {
- public:
-  using HashFn = std::function<std::uint64_t(const T&)>;
-
-  ShardIngress(HashFn hash, Shedder* shedder, InputLog* wal)
-      : UnaryNode<T, T>(1, 0),
-        hash_(std::move(hash)),
-        shedder_(shedder),
-        wal_(wal) {
-    if constexpr (!SnapshotSerializable<T>) {
-      if (wal_ != nullptr) {
-        throw std::invalid_argument(
-            "ShardIngress: a WAL needs a payload with a StateCodec");
-      }
-    }
-  }
-
-  /// Tuples routed to this shard (pre-shedding).
-  std::uint64_t routed() const { return routed_; }
-  /// Elements appended to the shard WAL so far (the replay cursor).
-  std::uint64_t logged() const { return seq_; }
-
-  /// Checkpoint codec v2: [u8 version][seq][combiner][routed]. The
-  /// cursor leads so decode_logged reads it without knowing the
-  /// combiner's layout.
-  static constexpr std::uint8_t kCodecVersion = 2;
-
-  void snapshot_to(SnapshotWriter& w) const override {
-    w.write_pod(kCodecVersion);
-    w.write_u64(seq_);
-    this->save_base(w);
-    w.write_u64(routed_);
-  }
-
-  void restore_from(SnapshotReader& r) override {
-    seq_ = read_seq(r);
-    this->load_base(r);
-    routed_ = r.read_u64();
-  }
-
-  /// Parses the logged-cursor out of a snapshot produced by snapshot_to,
-  /// without needing a live node: the supervisor reads the failed shard's
-  /// cut cursor straight from the CheckpointStore.
-  static std::uint64_t decode_logged(const SnapshotWriter::Bytes& bytes) {
-    SnapshotReader r(bytes);
-    return read_seq(r);
-  }
-
- protected:
-  void on_tuple(int, const Tuple<T>& t) override {
-    ++routed_;
-    if (shedder_ != nullptr &&
-        !shedder_->admit(hash_(t.value), t.ts, this->watermark())) {
-      return;
-    }
-    append(Element<T>{t});
-    this->out_.push_tuple(t);
-  }
-
-  void on_watermark(Timestamp w) override {
-    append(Element<T>{Watermark{w}});
-    this->out_.push_watermark(w);
-  }
-
-  void on_end() override {
-    if constexpr (SnapshotSerializable<T>) {
-      if (wal_ != nullptr) wal_->sync();
-    }
-    this->out_.push_end();
-  }
-
-  void on_marker(std::uint64_t id) override {
-    if constexpr (SnapshotSerializable<T>) {
-      if (wal_ != nullptr) {
-        wal_->sync();
-        wal_->note_checkpoint(id, seq_);
-      }
-    }
-    this->finish_marker(id);
-  }
-
- private:
-  static std::uint64_t read_seq(SnapshotReader& r) {
-    const auto version = r.read_pod<std::uint8_t>();
-    if (version != kCodecVersion) {
-      throw SnapshotError("ShardIngress: unknown codec version " +
-                          std::to_string(version));
-    }
-    return r.read_u64();
-  }
-
-  void append(const Element<T>& e) {
-    if constexpr (SnapshotSerializable<T>) {
-      if (wal_ == nullptr) return;
-      wal_->append(wal_codec::encode<T>(e));
-      ++seq_;
-    }
-  }
-
-  HashFn hash_;
-  Shedder* shedder_;
-  InputLog* wal_;
-  std::uint64_t seq_{0};
-  std::uint64_t routed_{0};
-};
 
 /// What a shard factory hands back: the operator copy's endpoints plus
 /// every node it added, in add() order. The node list is the repair
@@ -185,10 +62,10 @@ struct ShardEndpoints {
   std::function<std::pair<std::size_t, std::size_t>()> occupancy;
 };
 
-/// Builder: wires splitter → N×(ingress → factory subgraph [→ tap]) →
-/// union into an existing Flow or ThreadedFlow and keeps the handles
-/// (plan, per-shard monitors/shedders/ingresses/taps) the supervisor and
-/// harness need. The ShardedFlow object must outlive run().
+/// Builder: wires splitter → N×(factory subgraph [→ tap]) → union into
+/// an existing Flow or ThreadedFlow and keeps the handles (plan, per-shard
+/// monitors/shedders/taps) the supervisor and harness need. The
+/// ShardedFlow object must outlive run().
 template <typename In, typename Out, typename Key = In>
 class ShardedFlow {
  public:
@@ -200,14 +77,13 @@ class ShardedFlow {
 
   struct Options {
     KeyFn key_fn;
-    /// Per-shard shedding (ShedPolicy::kNone attaches no shedder at all —
-    /// the PR-4 convention: a disabled gate leaves the hot path
+    /// Per-shard shedding at the splitter (ShedPolicy::kNone attaches no
+    /// shedder at all, so a disabled gate leaves the hot path
     /// byte-identical).
     ShedConfig shed{};
     /// Per-shard monitor thresholds (ThreadedFlow only; each shard's
     /// shedder reads its own monitor).
     OverloadThresholds thresholds{};
-    bool per_shard_monitors{true};
     /// Shard-local WAL partitions, one per shard (empty = not durable).
     /// Externally owned; they ARE the durable state that survives crashes.
     std::vector<InputLog*> wals{};
@@ -234,58 +110,62 @@ class ShardedFlow {
                                  std::vector<std::size_t>{});
     };
 
-    KeyFn key = opts_.key_fn;
-    auto hash = [key](const In& v) -> std::uint64_t {
-      return static_cast<std::uint64_t>(std::hash<Key>{}(key(v)));
-    };
-
-    splitter_ = &flow.template add<KeySplitter<In, Key>>(shards, key);
-    shards_.reserve(static_cast<std::size_t>(shards));
+    std::vector<Shedder*> gates;
     for (int s = 0; s < shards; ++s) {
-      Shard sh;
+      OverloadMonitor* monitor = nullptr;
       if constexpr (threaded) {
-        if (opts_.per_shard_monitors) {
-          monitors_.push_back(
-              std::make_unique<OverloadMonitor>(opts_.thresholds));
-          sh.monitor = monitors_.back().get();
-        }
+        monitors_.push_back(
+            std::make_unique<OverloadMonitor>(opts_.thresholds));
+        monitor = monitors_.back().get();
       }
       if (opts_.shed.policy != ShedPolicy::kNone) {
         ShedConfig cfg = opts_.shed;
         // Decorrelate the per-shard random draws; same idiom as the
         // fair-epoch rotation (seeded, so runs reproduce).
         cfg.seed = splitmix64(cfg.seed ^ static_cast<std::uint64_t>(s));
-        shedders_.push_back(std::make_unique<Shedder>(cfg, sh.monitor));
-        sh.shedder = shedders_.back().get();
+        shedders_.push_back(std::make_unique<Shedder>(cfg, monitor));
+        gates.push_back(shedders_.back().get());
       }
-      InputLog* wal =
-          opts_.wals.empty() ? nullptr : opts_.wals[static_cast<size_t>(s)];
-      sh.wal = wal;
+    }
 
+    splitter_index_ = flow.node_count();
+    splitter_ = &flow.template add<KeySplitter<In, Key>>(
+        shards, opts_.key_fn, std::move(gates), opts_.wals);
+    shards_.reserve(static_cast<std::size_t>(shards));
+    for (int s = 0; s < shards; ++s) {
+      Shard sh;
       const std::size_t node_lo = flow.node_count();
       const std::size_t edge_lo = flow.edge_count();
-      sh.ingress_index = node_lo;
-      sh.ingress =
-          &flow.template add<ShardIngress<In>>(hash, sh.shedder, wal);
-      ShardEndpoints<In, Out> ep =
-          factory(flow, s);
-      sh.op_indices.reserve(ep.nodes.size());
-      for (std::size_t i = node_lo + 1; i < flow.node_count(); ++i) {
+      ShardEndpoints<In, Out> ep = factory(flow, s);
+      for (std::size_t i = node_lo; i < flow.node_count(); ++i) {
         sh.op_indices.push_back(i);
       }
       // An empty node list opts out of positional repair (composite
-      // factories that cannot enumerate their nodes — bench-only shards);
-      // a non-empty one must cover every node the factory added.
-      assert(ep.nodes.empty() || sh.op_indices.size() == ep.nodes.size());
+      // factories that cannot enumerate their nodes — bench-only shards,
+      // which repair_shard refuses); a non-empty one must cover every
+      // node the factory added, or a repair would restore the wrong nodes.
+      if (!ep.nodes.empty() && ep.nodes.size() != sh.op_indices.size()) {
+        throw std::invalid_argument(
+            "ShardedFlow: shard " + std::to_string(s) + "'s factory lists " +
+            std::to_string(ep.nodes.size()) + " nodes but added " +
+            std::to_string(sh.op_indices.size()));
+      }
       if (opts_.tap_outputs) {
         sh.tap_index = flow.node_count();
         sh.tap = &flow.template add<CollectorSink<Out>>();
       }
       sh.occupancy = std::move(ep.occupancy);
 
-      flow.connect(*splitter_, splitter_->out(s), *sh.ingress,
-                   sh.ingress->in());
-      flow.connect(*sh.ingress, sh.ingress->out(), *ep.in_node, *ep.in);
+      if constexpr (threaded) {
+        // The splitter → copy edge holds two default capacities: at one,
+        // the splitter stalls sooner on whichever shard queue is full, and
+        // sharded A and A+ lost 13–15 % of their saturation throughput on
+        // fm-wiki-sharded4 (4-core host).
+        flow.connect(*splitter_, splitter_->out(s), *ep.in_node, *ep.in,
+                     EdgeKind::kNormal, 2 * FlowT::kDefaultCapacity);
+      } else {
+        flow.connect(*splitter_, splitter_->out(s), *ep.in_node, *ep.in);
+      }
       if (sh.tap != nullptr) {
         flow.connect(*ep.out_node, *ep.out, *sh.tap, sh.tap->in());
       }
@@ -296,18 +176,16 @@ class ShardedFlow {
         plan_.assign(i, s);
       }
       if constexpr (threaded) {
-        if (sh.monitor != nullptr) {
-          std::vector<std::size_t> edges;
-          // The union-input edge is wired after this capture (the union
-          // does not exist yet); the shard's backlog shows on the
-          // splitter→ingress and internal edges, which is what the scope
-          // needs — union-input depth reflects the MERGE, not the shard.
-          for (std::size_t e = edge_lo; e < flow.edge_count(); ++e) {
-            edges.push_back(e);
-          }
-          flow.attach_overload_scope(sh.monitor, std::move(edges),
-                                     plan_.nodes_of(s));
+        std::vector<std::size_t> edges;
+        // The union-input edge is wired after this capture (the union
+        // does not exist yet); the shard's backlog shows on the
+        // splitter→copy and internal edges, which is what the scope
+        // needs — union-input depth reflects the MERGE, not the shard.
+        for (std::size_t e = edge_lo; e < flow.edge_count(); ++e) {
+          edges.push_back(e);
         }
+        flow.attach_overload_scope(monitor(s), std::move(edges),
+                                   plan_.nodes_of(s));
       }
       shards_.push_back(std::move(sh));
     }
@@ -330,22 +208,22 @@ class ShardedFlow {
   const ShardPlan& plan() const { return plan_; }
 
   KeySplitter<In, Key>& splitter() { return *splitter_; }
+  std::size_t splitter_index() const { return splitter_index_; }
   UnionOp<Out>& union_op() { return *union_; }
-  ShardIngress<In>& ingress(int s) {
-    return *shards_[static_cast<std::size_t>(s)].ingress;
-  }
   CollectorSink<Out>* tap(int s) {
     return shards_[static_cast<std::size_t>(s)].tap;
   }
-  OverloadMonitor* monitor(int s) {
-    return shards_[static_cast<std::size_t>(s)].monitor;
+  OverloadMonitor* monitor(int s) const {
+    return monitors_.empty() ? nullptr
+                             : monitors_[static_cast<std::size_t>(s)].get();
   }
-  Shedder* shedder(int s) {
-    return shards_[static_cast<std::size_t>(s)].shedder;
+  Shedder* shedder(int s) const {
+    return shedders_.empty() ? nullptr
+                             : shedders_[static_cast<std::size_t>(s)].get();
   }
-  InputLog* wal(int s) { return shards_[static_cast<std::size_t>(s)].wal; }
-  std::size_t ingress_index(int s) const {
-    return shards_[static_cast<std::size_t>(s)].ingress_index;
+  InputLog* wal(int s) const {
+    return opts_.wals.empty() ? nullptr
+                              : opts_.wals[static_cast<std::size_t>(s)];
   }
   const std::vector<std::size_t>& op_indices(int s) const {
     return shards_[static_cast<std::size_t>(s)].op_indices;
@@ -359,12 +237,12 @@ class ShardedFlow {
   std::vector<ShardStats> shard_stats() const {
     std::vector<ShardStats> out;
     out.reserve(shards_.size());
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      const Shard& sh = shards_[s];
+    for (int s = 0; s < shards(); ++s) {
+      const Shard& sh = shards_[static_cast<std::size_t>(s)];
       ShardStats st;
-      st.routed = splitter_->routed(static_cast<int>(s));
-      if (sh.shedder != nullptr) st.shed = sh.shedder->shed();
-      if (sh.monitor != nullptr) st.health = sh.monitor->worst();
+      st.routed = splitter_->routed(s);
+      if (Shedder* g = shedder(s)) st.shed = g->shed();
+      if (OverloadMonitor* m = monitor(s)) st.health = m->worst();
       if (sh.occupancy) {
         const auto [stored, panes] = sh.occupancy();
         st.peak_stored = stored;
@@ -377,14 +255,9 @@ class ShardedFlow {
 
  private:
   struct Shard {
-    ShardIngress<In>* ingress{nullptr};
     CollectorSink<Out>* tap{nullptr};
     NodeBase* out_node{nullptr};
     Outlet<Out>* out{nullptr};
-    OverloadMonitor* monitor{nullptr};
-    Shedder* shedder{nullptr};
-    InputLog* wal{nullptr};
-    std::size_t ingress_index{0};
     std::vector<std::size_t> op_indices;
     std::size_t tap_index{0};
     std::function<std::pair<std::size_t, std::size_t>()> occupancy;
@@ -393,6 +266,7 @@ class ShardedFlow {
   ShardPlan plan_;
   Options opts_;
   KeySplitter<In, Key>* splitter_{nullptr};
+  std::size_t splitter_index_{0};
   UnionOp<Out>* union_{nullptr};
   std::vector<std::unique_ptr<OverloadMonitor>> monitors_;
   std::vector<std::unique_ptr<Shedder>> shedders_;

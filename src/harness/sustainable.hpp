@@ -103,8 +103,8 @@ struct RunConfig {
   /// runs the classic single-instance pipeline, byte-identical to the
   /// pre-sharding harness. N > 1 deploys the FM operator as key splitter
   /// → N shards → watermark-merging union via ShardedFlow: shedding
-  /// moves from source admission to the per-shard ingress (each shard's
-  /// Shedder reads its own OverloadMonitor). Join runners reject
+  /// moves from source admission to the splitter's per-shard gate (each
+  /// shard's Shedder reads its own OverloadMonitor). Join runners reject
   /// shards > 1 (two-input co-partitioning is not wired yet).
   int shards{1};
   /// Multi-query mode (DESIGN.md § 14): when non-empty, run_multiquery
@@ -114,31 +114,10 @@ struct RunConfig {
   /// engine's store edge (one decision per tuple, attributed
   /// per query) rather than source admission.
   std::vector<WindowSpec> queries;
-  /// Shed at the Embed operator instead of source admission (DESIGN.md
-  /// § 10 rider): with shed.policy != kNone, the Shedder gates the embed
-  /// machine's add() — after channel transport, before lift — so
-  /// OverloadMonitor pressure drops tuples at the operator, with the same
-  /// exact shed_count/shed_ratio attribution (one admit per tuple through
-  /// the one Shedder the run owns). AggBased FM pipelines only; other
-  /// impls and sharded/multiquery runs keep their existing shed edges.
-  bool shed_at_embed{false};
 };
 
 /// How many of the heaviest-shed keys a run reports.
 inline constexpr std::size_t kShedTopK = 8;
-
-/// One shard's slice of a sharded run (RunResult::per_shard): how many
-/// tuples the splitter routed to it, how many its ingress shed, the worst
-/// health its own monitor saw and its operator copy's occupancy peaks.
-/// Mirrors ShardStats with the health rendered as the same string
-/// vocabulary RunResult::health uses.
-struct ShardDiag {
-  std::uint64_t routed{0};
-  std::uint64_t shed{0};
-  std::string health;
-  std::uint64_t peak_stored{0};
-  std::uint64_t peak_panes{0};
-};
 
 /// One query's slice of a multi-query run (RunResult::per_query): its
 /// spec, outputs emitted, and the shared engine's per-query accounting —
@@ -190,7 +169,7 @@ struct RunResult {
   /// over shards, health is the worst shard's, the occupancy peaks sum
   /// (total state footprint across shards).
   int shards{1};
-  std::vector<ShardDiag> per_shard;
+  std::vector<ShardStats> per_shard;
   /// Multi-query deployment (cfg.queries, DESIGN.md § 14): how many
   /// queries the shared engine hosted (1 = classic single-query run) and
   /// per-query slices, empty for single-query runs. outputs_per_s and
@@ -289,8 +268,8 @@ RunResult finalize(const RunConfig& cfg, double offered,
 }
 
 /// Sharded FM runner (cfg.shards > 1): RateSource → ShardedFlow(N × Impl)
-/// → MeasuringSink. Shedding moves inside the shards — each shard's
-/// Shedder gates its own ingress reading its own monitor — so the run's
+/// → MeasuringSink. Shedding moves to the splitter — each shard's
+/// Shedder gates that shard's input reading its own monitor — so the run's
 /// degraded accounting is the sum over its shards.
 template <typename In, typename Out,
           template <typename, typename> class MachineT>
@@ -365,17 +344,10 @@ RunResult run_fm_sharded(Impl impl, const RunConfig& cfg,
   r.cutoff_at_s = src.cutoff_at_s();
   r.shards = cfg.shards;
 
-  const std::vector<ShardStats> stats = sf.shard_stats();
+  r.per_shard = sf.shard_stats();
   FlowHealth worst = FlowHealth::kHealthy;
   std::uint64_t routed_total = 0;
-  for (const ShardStats& st : stats) {
-    ShardDiag d;
-    d.routed = st.routed;
-    d.shed = st.shed;
-    d.health = flow_health_name(st.health);
-    d.peak_stored = st.peak_stored;
-    d.peak_panes = st.peak_panes;
-    r.per_shard.push_back(std::move(d));
+  for (const ShardStats& st : r.per_shard) {
     r.shed_count += st.shed;
     r.peak_stored += st.peak_stored;
     r.peak_panes += st.peak_panes;
@@ -423,16 +395,13 @@ RunResult run_fm_t(Impl impl, const RunConfig& cfg,
   auto& src = flow.add<RateSource<In>>(
       detail::source_config<In>(cfg, cfg.rate, flush), std::move(gen));
   auto& sink = flow.add<MeasuringSink<Out>>();
-  // Degraded mode: monitor + shedder, stack-owned (they must outlive the
-  // run, not the flow). kNone attaches neither. The shed edge is source
-  // admission by default; cfg.shed_at_embed moves it to the AggBased
-  // Embed machine below (same Shedder, so attribution stays exact).
+  // Degraded mode: monitor + shedder at source admission, stack-owned
+  // (they must outlive the run, not the flow). kNone attaches neither.
   OverloadMonitor monitor(cfg.overload);
   std::optional<Shedder> shedder;
-  const bool embed_shed = cfg.shed_at_embed && impl == Impl::kAggBased;
   if (cfg.shed.policy != ShedPolicy::kNone) {
     shedder.emplace(cfg.shed, &monitor);
-    if (!embed_shed) src.set_shedder(&*shedder);
+    src.set_shedder(&*shedder);
     flow.attach_overload(&monitor);
   }
   // Reads occupancy peaks off the flow-owned windowed operator after the
@@ -455,10 +424,6 @@ RunResult run_fm_t(Impl impl, const RunConfig& cfg,
       flow.connect(op.out_node(), op.out(), sink, sink.in());
       auto* m = &op.embed().machine();
       m->reset_diagnostics();
-      // § 10 rider: shed at the Embed — the machine's add() consults the
-      // shedder after transport, before lift (see WindowMachine::add /
-      // SlicedEngine::add; the block path admits per tuple identically).
-      if (embed_shed && shedder) m->set_shedder(&*shedder);
       collect = [m](RunResult& r) {
         r.peak_stored = m->peak_occupancy();
         r.peak_panes = m->peak_panes();

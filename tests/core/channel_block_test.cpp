@@ -26,7 +26,6 @@
 #include "core/runtime/overload.hpp"
 #include "core/runtime/threaded_runtime.hpp"
 #include "core/swa/monoid_machine.hpp"
-#include "harness/sustainable.hpp"
 #include "machine_matrix.hpp"
 
 namespace aggspes {
@@ -319,30 +318,6 @@ TEST(ChannelBlock, EmbedShedAccountingIsExactUnderBatching) {
   EXPECT_EQ(shedB, shed1);  // same seeded stream, one admit per tuple
   EXPECT_GT(shed1, 0u);
   EXPECT_EQ(batched, scalar);
-}
-
-TEST(ChannelBlock, HarnessShedAtEmbedReportsExactCounts) {
-  // The RunConfig::shed_at_embed knob end-to-end: thresholds that classify
-  // any sample as overloaded plus p_overloaded = 1.0 shed (nearly) every
-  // tuple at the Embed machine — the monitor starts kHealthy until the
-  // watchdog's first sample, so a short healthy prefix may slip through —
-  // and the run still completes with exact attribution in RunResult.
-  harness::RunConfig cfg;
-  cfg.rate = 20000;
-  cfg.duration_s = 0.3;
-  cfg.warmup_s = 0.05;
-  cfg.cooldown_s = 0.02;
-  cfg.shed = {.policy = ShedPolicy::kRandomP, .p_overloaded = 1.0};
-  cfg.overload = {.pressured_occupancy = -1.0, .overloaded_occupancy = -1.0};
-  cfg.shed_at_embed = true;
-  harness::RunResult r = harness::run_fm_t<int, int, WindowMachine>(
-      harness::Impl::kAggBased, cfg,
-      [](std::uint64_t i) { return static_cast<int>(i % 7); },
-      [](const int& v) { return std::vector<int>{v}; });
-  EXPECT_GT(r.shed_count, 0u);
-  EXPECT_GT(r.shed_ratio, 0.5);
-  EXPECT_LE(r.shed_ratio, 1.0);
-  EXPECT_EQ(r.health, "overloaded");
 }
 
 }  // namespace

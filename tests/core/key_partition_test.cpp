@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <filesystem>
+#include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/hashing.hpp"
 #include "core/operators/aggregate.hpp"
@@ -229,59 +234,98 @@ TEST(KeySplitter, MixedHashDoesNotExposeRawKeyArithmetic) {
   }
 }
 
-// Checkpoint codec v2 round-trip. The v1 layout (the stateless splitter's
-// empty bytes) is no longer migrated: it is rejected like any other.
-TEST(KeySplitter, SnapshotRoundTripAndLegacyMigration) {
-  KeySplitter<Reading, int> split(3, [](const Reading& r) { return r.sensor; });
-  for (int k = 0; k < 30; ++k) {
-    split.in().receive(Element<Reading>{Tuple<Reading>{0, 0, {k, k}}});
+/// A 3-output int splitter logging to one WAL partition per output, fed
+/// 30 tuples and two watermarks; the partitions live under `dir`.
+struct LoggingSplitter {
+  explicit LoggingSplitter(const std::filesystem::path& dir) {
+    for (int s = 0; s < 3; ++s) {
+      logs.push_back(std::make_unique<InputLog>(
+          WalOptions{dir / std::to_string(s), 64 * 1024, 1}));
+      wals.push_back(logs.back().get());
+    }
+    split = std::make_unique<KeySplitter<int, int>>(
+        3, [](const int& v) { return v; }, std::vector<Shedder*>{}, wals);
+    for (int k = 0; k < 30; ++k) {
+      split->in().receive(Element<int>{Tuple<int>{k, 0, k}});
+      if (k % 15 == 14) split->in().receive(Element<int>{Watermark{k}});
+    }
   }
+
+  std::vector<std::unique_ptr<InputLog>> logs;
+  std::vector<InputLog*> wals;
+  std::unique_ptr<KeySplitter<int, int>> split;
+};
+
+SnapshotWriter::Bytes record_of(const KeySplitter<int, int>& split) {
   SnapshotWriter w;
   split.snapshot_to(w);
-  const SnapshotWriter::Bytes bytes = w.take();
-
-  KeySplitter<Reading, int> restored(3,
-                                     [](const Reading& r) { return r.sensor; });
-  SnapshotReader r(bytes);
-  restored.restore_from(r);
-  std::uint64_t total = 0;
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(restored.routed(i), split.routed(i));
-    total += restored.routed(i);
-  }
-  EXPECT_EQ(total, 30u);
-
-  // Empty bytes (the v1 stateless splitter) are not a v2 record.
-  KeySplitter<Reading, int> legacy(3, [](const Reading& r) { return r.sensor; });
-  const SnapshotWriter::Bytes none;
-  SnapshotReader empty(none);
-  EXPECT_THROW(legacy.restore_from(empty), SnapshotError);
-
-  // Mismatched output count is a wiring bug.
-  KeySplitter<Reading, int> wrong(4, [](const Reading& r) { return r.sensor; });
-  SnapshotReader again(bytes);
-  EXPECT_THROW(wrong.restore_from(again), SnapshotError);
+  return w.take();
 }
 
-TEST(RoundRobinSplitter, DistributesEvenlyAndBroadcastsControl) {
-  Flow flow;
-  auto& src = flow.add<TimedSource<Reading>>(make_input(), 10, 140);
-  auto& split = flow.add<RoundRobinSplitter<Reading>>(4);
-  flow.connect(src.out(), split.in());
-  std::vector<CollectorSink<Reading>*> sinks;
-  for (int i = 0; i < 4; ++i) {
-    auto& s = flow.add<CollectorSink<Reading>>();
-    flow.connect(split.out(i), s.in());
-    sinks.push_back(&s);
+// Checkpoint codec v3 carries both per-output cursors: the routed counter
+// and the WAL cursor the shard supervisor replays from.
+TEST(KeySplitter, SnapshotV3RoundTripsRoutedAndLoggedCursors) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   "aggspes_key_splitter_v3_round_trip";
+  std::filesystem::remove_all(dir);
+  {
+    LoggingSplitter ls(dir);
+    const SnapshotWriter::Bytes bytes = record_of(*ls.split);
+
+    KeySplitter<int, int> restored(3, [](const int& v) { return v; });
+    restored.restore_record(bytes);
+    std::uint64_t routed = 0;
+    for (int s = 0; s < 3; ++s) {
+      EXPECT_EQ(restored.routed(s), ls.split->routed(s));
+      EXPECT_EQ(restored.logged(s), ls.split->logged(s));
+      // Each partition logged its own tuples plus both watermarks.
+      EXPECT_EQ(ls.split->logged(s), ls.split->routed(s) + 2);
+      const InputLog& log = *ls.logs[static_cast<std::size_t>(s)];
+      EXPECT_EQ(log.stats().records_appended, ls.split->logged(s));
+      using Split = KeySplitter<int, int>;
+      EXPECT_EQ(Split::decode_logged(bytes, s), ls.split->logged(s));
+      routed += restored.routed(s);
+    }
+    EXPECT_EQ(routed, 30u);
   }
-  flow.run();
-  std::size_t total = 0;
-  for (auto* s : sinks) {
-    EXPECT_EQ(s->tuples().size(), 25u);  // 100 / 4, exact round robin
-    EXPECT_TRUE(s->ended());
-    total += s->tuples().size();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(KeySplitter, MalformedSnapshotsAreRejected) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   "aggspes_key_splitter_v3_malformed";
+  std::filesystem::remove_all(dir);
+  {
+    LoggingSplitter ls(dir);
+    const SnapshotWriter::Bytes bytes = record_of(*ls.split);
+    using Split = KeySplitter<int, int>;
+    auto key = [](const int& v) { return v; };
+
+    // A v2 record ([version][n][routed]×n) is not read as v3.
+    SnapshotWriter v2;
+    v2.write_pod(std::uint8_t{2});
+    v2.write_size(3);
+    for (int s = 0; s < 3; ++s) v2.write_u64(ls.split->routed(s));
+    const SnapshotWriter::Bytes v2_bytes = v2.take();
+    Split a(3, key);
+    EXPECT_THROW(a.restore_record(v2_bytes), SnapshotError);
+    EXPECT_THROW(Split::decode_logged(v2_bytes, 0), SnapshotError);
+
+    // A record for another shard count is a wiring bug.
+    Split wrong(4, key);
+    EXPECT_THROW(wrong.restore_record(bytes), SnapshotError);
+
+    // A record cut inside the per-shard pairs.
+    const SnapshotWriter::Bytes cut(bytes.begin(), bytes.end() - 12);
+    Split b(3, key);
+    EXPECT_THROW(b.restore_record(cut), SnapshotError);
+    EXPECT_THROW(Split::decode_logged(cut, 0), SnapshotError);
+
+    // A shard index outside the record.
+    EXPECT_THROW(Split::decode_logged(bytes, 3), SnapshotError);
+    EXPECT_THROW(Split::decode_logged(bytes, -1), SnapshotError);
   }
-  EXPECT_EQ(total, 100u);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <functional>
@@ -31,6 +32,7 @@
 #include "core/operators/sink.hpp"
 #include "core/operators/source.hpp"
 #include "core/operators/stateless.hpp"
+#include "core/recovery/fault_injection.hpp"
 #include "core/runtime/threaded_runtime.hpp"
 #include "machine_matrix.hpp"
 
@@ -168,15 +170,16 @@ Multiset sharded_run(const std::vector<Element<int>>& script, int shards,
   EXPECT_EQ(sink.watermark_regressions(), 0);
 
   // Routing diagnostics must account for every input tuple exactly once,
-  // and the splitter's counters must agree with the ingress counters.
+  // and the per-shard stats must report the splitter's counters.
   std::uint64_t routed = 0;
-  for (int s = 0; s < shards; ++s) {
-    EXPECT_EQ(sf.splitter().routed(s), sf.ingress(s).routed());
-    routed += sf.ingress(s).routed();
-  }
-  EXPECT_EQ(routed, expect_routed);
   const auto stats = sf.shard_stats();
   EXPECT_EQ(stats.size(), static_cast<std::size_t>(shards));
+  for (int s = 0; s < shards; ++s) {
+    EXPECT_EQ(stats[static_cast<std::size_t>(s)].routed,
+              sf.splitter().routed(s));
+    routed += sf.splitter().routed(s);
+  }
+  EXPECT_EQ(routed, expect_routed);
   if (late_tuples != nullptr) *late_tuples = sink.late_tuples();
   return sink.multiset();
 }
@@ -351,7 +354,161 @@ TEST(ParallelAggBased, RunsOnThreadedRuntime) {
   EXPECT_EQ(sink.multiset(), dedicated);
 }
 
+// --- the deployment's shape ----------------------------------------------
+
+// Without taps, a width-N deployment adds the splitter and the union and
+// nothing else: the splitter is every shard's admission edge, so each
+// shard is the factory's subgraph fed straight from it.
+TEST(ShardedShape, AddsOnlyTheSplitterAndTheUnionBesidesTheFactoryNodes) {
+  for (int shards : {1, 4}) {
+    ThreadedFlow flow;
+    std::size_t factory_nodes = 0;
+    auto factory = [&factory_nodes](auto& f, int s) {
+      const std::size_t before = f.node_count();
+      ShardEndpoints<int, int> ep = aggbased_fm_factory()(f, s);
+      factory_nodes += f.node_count() - before;
+      return ep;
+    };
+    ShardedFlow<int, int, int>::Options opts;
+    opts.key_fn = key_of;
+    ShardedFlow<int, int, int> sf(flow, shards, opts, factory);
+    EXPECT_EQ(flow.node_count(), factory_nodes + 2) << "N=" << shards;
+  }
+}
+
+// --- per-shard overload control -------------------------------------------
+
+// One slow shard sheds alone. A slow consumer on shard kSlow's input edge
+// backs that shard up; its own monitor classifies it degraded, and its
+// Shedder (p = 1 in every degraded state) refuses its tuples. Each sibling
+// is routed so few elements that its queues can never reach the pressured
+// occupancy, so the siblings cannot shed whatever the thread schedule.
+// Accounting is exact per shard: routed = admitted + shed, and the sink
+// receives exactly the admitted tuples.
+TEST(ShardedOverload, SlowShardShedsAloneWithExactAccounting) {
+  constexpr int kShards = 4;
+  constexpr int kSlow = 1;
+  // More than any one shard's input queue holds, so the slow shard's
+  // queue fills whatever its capacity.
+  constexpr std::size_t kSlowTuples = 4000;
+  // Per sibling: with its watermark and end-of-stream, under a tenth of a
+  // queue slot count of 1024.
+  constexpr std::size_t kSiblingTuples = 12;
+
+  // The key is the value, so each value's shard is fixed by the routing
+  // contract; pick values until every shard has its share.
+  std::vector<std::vector<int>> by_shard(kShards);
+  std::size_t missing = kSlowTuples + (kShards - 1) * kSiblingTuples;
+  for (int v = 0; missing > 0; ++v) {
+    const std::size_t s = shard_of_hash(std::hash<int>{}(v), kShards);
+    const std::size_t want =
+        s == static_cast<std::size_t>(kSlow) ? kSlowTuples : kSiblingTuples;
+    if (by_shard[s].size() < want) {
+      by_shard[s].push_back(v);
+      --missing;
+    }
+  }
+  // Sibling tuples are spread over the slow shard's stream, so most of
+  // them are routed while the slow shard is degraded.
+  std::vector<Element<int>> script;
+  Timestamp ts = 0;
+  std::size_t next_sibling = 0;
+  for (std::size_t i = 0; i < kSlowTuples; ++i) {
+    script.push_back(Tuple<int>{ts++, 0, by_shard[kSlow][i]});
+    if (i % (kSlowTuples / kSiblingTuples) == 0 &&
+        next_sibling < kSiblingTuples) {
+      for (int s = 0; s < kShards; ++s) {
+        if (s == kSlow) continue;
+        script.push_back(Tuple<int>{ts++, 0, by_shard[s][next_sibling]});
+      }
+      ++next_sibling;
+    }
+  }
+  ASSERT_EQ(next_sibling, kSiblingTuples);
+  script.push_back(Watermark{ts});
+  script.push_back(EndOfStream{});
+
+  ThreadedFlow flow;
+  auto& src = flow.add<ScriptSource<int>>(script);
+  ShardedFlow<int, int, int>::Options opts;
+  opts.key_fn = [](const int& v) { return v; };
+  opts.shed = {.policy = ShedPolicy::kRandomP,
+               .p_pressured = 1.0,
+               .p_overloaded = 1.0,
+               .seed = 3};
+  opts.thresholds = {.pressured_occupancy = 0.10,
+                     .overloaded_occupancy = 0.50};
+  // The slow shard's input edge is the first one wired after its factory
+  // returns.
+  std::size_t slow_edge = 0;
+  auto factory = [&slow_edge](auto& f, int s) {
+    ShardEndpoints<int, int> ep = endpoints(f.template add<FlatMapOp<int, int>>(
+        [](const int& v) { return std::vector<int>{v}; }));
+    if (s == kSlow) slow_edge = f.edge_count();
+    return ep;
+  };
+  ShardedFlow<int, int, int> sf(flow, kShards, opts, factory);
+  auto& sink = flow.add<CollectorSink<int>>();
+  flow.connect(src, src.out(), sf.in_node(), sf.in());
+  flow.connect(sf.out_node(), sf.out(), sink, sink.in());
+
+  // 1 ms per delivery for 300 deliveries: the splitter outruns the slow
+  // shard by far, and the watchdog samples every 5 ms meanwhile.
+  FaultInjector faults(/*seed=*/1);
+  faults.add_event({.kind = FaultKind::kSlowConsumer,
+                    .attempt = 0,
+                    .edge = slow_edge,
+                    .at_delivery = 1,
+                    .param_ms = 1,
+                    .param_count = 300});
+  faults.begin_attempt(0);
+  flow.install_faults(faults);
+  ThreadedFlow::RunOptions run;
+  run.watchdog_poll = std::chrono::milliseconds(5);
+  flow.run(run);
+
+  EXPECT_TRUE(sink.ended());
+  EXPECT_EQ(sink.watermark_regressions(), 0);
+  std::uint64_t admitted = 0;
+  for (int s = 0; s < kShards; ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    const Shedder* shedder = sf.shedder(s);
+    ASSERT_NE(shedder, nullptr);
+    EXPECT_EQ(sf.splitter().routed(s), shedder->admitted() + shedder->shed());
+    admitted += shedder->admitted();
+    if (s == kSlow) {
+      EXPECT_EQ(sf.splitter().routed(s), kSlowTuples);
+      EXPECT_GT(shedder->shed(), 0u);
+      EXPECT_GE(sf.monitor(s)->worst(), FlowHealth::kPressured);
+    } else {
+      EXPECT_EQ(sf.splitter().routed(s), kSiblingTuples);
+      EXPECT_EQ(shedder->shed(), 0u);
+      EXPECT_EQ(sf.monitor(s)->worst(), FlowHealth::kHealthy);
+    }
+  }
+  EXPECT_EQ(sink.tuples().size(), admitted);
+}
+
 // --- configuration the deployment cannot honour fails loudly -------------
+
+// A factory that adds a node it does not list would make a repair restore
+// the cut onto the wrong nodes.
+TEST(ShardedConfig, FactoryNodeListMissingANodeIsRejected) {
+  Flow flow;
+  ShardedFlow<int, int, int>::Options opts;
+  opts.key_fn = key_of;
+  auto factory = [](auto& f, int) {
+    auto& first = f.template add<FlatMapOp<int, int>>(test_fm());
+    auto& second = f.template add<FlatMapOp<int, int>>(test_fm());
+    f.connect(first, first.out(), second, second.in());
+    ShardEndpoints<int, int> ep = endpoints(second);
+    ep.in_node = &first;
+    ep.in = &first.in();
+    return ep;
+  };
+  EXPECT_THROW((ShardedFlow<int, int, int>(flow, 2, opts, factory)),
+               std::invalid_argument);
+}
 
 TEST(ShardedConfig, ZeroShardsIsRejected) {
   Flow flow;

@@ -450,11 +450,11 @@ TEST_F(AsyncCheckpointChaosTest, ShardedRepairComposesWithAsyncCuts) {
   ck.set_fatal_handler([&tf](const std::string& what) { tf.fail_flow(what); });
   tf.attach_async(&ck);
 
-  // Kill one shard mid-run (its ingress→op edge: 3·s + 1); the composed
+  // Kill one shard mid-run (its splitter→op edge: 2·s); the composed
   // per-shard cuts committed by the ASYNC worker are what the repair
   // restores from.
   FaultInjector faults(0);
-  faults.add_event({FaultKind::kCrash, 0, 3 * 1 + 1, 60, 0});
+  faults.add_event({FaultKind::kCrash, 0, 2 * 1, 60, 0});
   faults.begin_attempt(0);
   tf.install_faults(faults);
 

@@ -13,7 +13,6 @@
 #include "aggbased/loop_guard.hpp"
 #include "core/operators/aggregate.hpp"
 #include "core/operators/join.hpp"
-#include "core/operators/key_partition.hpp"
 #include "core/operators/sink.hpp"
 #include "core/operators/source.hpp"
 #include "core/recovery/checkpoint_store.hpp"
@@ -191,47 +190,6 @@ TEST(OperatorSnapshot, JoinMidStreamContinuation) {
 
   EXPECT_EQ(b_s.multiset(), ref_s.multiset());
   EXPECT_TRUE(b_s.ended());
-}
-
-TEST(OperatorSnapshot, RoundRobinCursorRoundTrips) {
-  RoundRobinSplitter<int> split(3);
-  Flow f;  // unused; splitter driven directly
-  CollectorSink<int> s0, s1, s2;
-  f.connect(split.out(0), s0.in());
-  f.connect(split.out(1), s1.in());
-  f.connect(split.out(2), s2.in());
-  split.in().receive(Element<int>{Tuple<int>{1, 0, 1}});
-  f.drain();
-
-  SnapshotWriter w;
-  split.snapshot_to(w);
-  const auto bytes = w.take();
-
-  RoundRobinSplitter<int> split2(3);
-  Flow g;
-  CollectorSink<int> t0, t1, t2;
-  g.connect(split2.out(0), t0.in());
-  g.connect(split2.out(1), t1.in());
-  g.connect(split2.out(2), t2.in());
-  SnapshotReader r(bytes);
-  split2.restore_from(r);
-  split2.in().receive(Element<int>{Tuple<int>{2, 0, 2}});
-  g.drain();
-  // The replayed route continues where the snapshot left off: instance 1.
-  EXPECT_TRUE(t0.tuples().empty());
-  ASSERT_EQ(t1.tuples().size(), 1u);
-  EXPECT_TRUE(t2.tuples().empty());
-}
-
-// The restored cursor indexes the outputs, so a cursor past them is a
-// malformed cut, not a route.
-TEST(OperatorSnapshot, RoundRobinCursorPastTheOutputsIsRejected) {
-  SnapshotWriter w;
-  w.write_size(3);
-  const auto bytes = w.take();
-  RoundRobinSplitter<int> split(3);
-  SnapshotReader r(bytes);
-  EXPECT_THROW(split.restore_from(r), SnapshotError);
 }
 
 // Source rewind contract: cursor commits at marker injection; a restored

@@ -148,12 +148,12 @@ ShardedRunOutcome<int> crash_and_repair(TestT& t,
   tf.connect(sf.out_node(), sf.out(), sink, sink.in());
   tf.enable_checkpoints(store);
 
-  // Shard-internal edges are wired per shard in a fixed pattern —
-  // splitter→ingress, ingress→op, op→tap — so the crash shard's
-  // ingress→op edge is 3·s + 1 (connect order; union edges come last).
+  // Shard edges are wired per shard in a fixed pattern — splitter→op,
+  // op→tap — so the crash shard's splitter→op edge is 2·s (connect order;
+  // union edges come last).
   FaultInjector faults(0);
   faults.add_event({FaultKind::kCrash, 0,
-                    3 * static_cast<std::size_t>(c.crash_shard) + 1,
+                    2 * static_cast<std::size_t>(c.crash_shard),
                     c.at_delivery, 0});
   faults.begin_attempt(0);
   tf.install_faults(faults);
