@@ -33,7 +33,7 @@ AggregatePlusOp<In, Out, In, MachineT<In, In>>& make_aplus_flatmap(
     return all;
   };
   return flow.template add<AggregatePlusOp<In, Out, In, MachineT<In, In>>>(
-      spec, [](const In& v) { return v; }, std::move(f_o));
+      spec, KeyByAll{}, std::move(f_o));
 }
 
 /// A+-based Join: Listing 2's A1/A2 side wrappers (still minimal A's — one

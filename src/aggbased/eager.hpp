@@ -27,7 +27,7 @@ AggregateEagerOp<In, Out, In>& make_eager_flatmap(FlowT& flow,
   };
   auto f_o = [](const WindowView<In, In>&) { return std::vector<Out>{}; };
   return flow.template add<AggregateEagerOp<In, Out, In>>(
-      spec, [](const In& v) { return v; }, std::move(f_i), std::move(f_o));
+      spec, KeyByAll{}, std::move(f_i), std::move(f_o));
 }
 
 /// A++-based Join: side wrappers as in Listing 2, with an eager A3 that
@@ -45,7 +45,7 @@ AggregateEagerOp<L, JoinSides<L, R>, L>& make_eager_left_wrapper(
     FlowT& flow) {
   WindowSpec spec{.advance = kDelta, .size = kDelta};
   return flow.template add<AggregateEagerOp<L, JoinSides<L, R>, L>>(
-      spec, [](const L& v) { return v; },
+      spec, KeyByAll{},
       [](const WindowView<L, L>& w) {
         return std::vector<JoinSides<L, R>>{
             JoinSides<L, R>{{w.items.back().value}, {}}};
@@ -60,7 +60,7 @@ AggregateEagerOp<R, JoinSides<L, R>, R>& make_eager_right_wrapper(
     FlowT& flow) {
   WindowSpec spec{.advance = kDelta, .size = kDelta};
   return flow.template add<AggregateEagerOp<R, JoinSides<L, R>, R>>(
-      spec, [](const R& v) { return v; },
+      spec, KeyByAll{},
       [](const WindowView<R, R>& w) {
         return std::vector<JoinSides<L, R>>{
             JoinSides<L, R>{{}, {w.items.back().value}}};

@@ -33,7 +33,6 @@ template <typename In, typename Out,
 AggregateOp<In, Embedded<Out>, In, MachineT<In, In>>& make_embed_flatmap(
     FlowT& flow, FlatMapFn<In, Out> f_fm) {
   WindowSpec spec{.advance = kDelta, .size = kDelta};
-  auto key_all = [](const In& v) { return v; };
   auto f_o = [f = std::move(f_fm)](const WindowView<In, In>& w)
       -> std::optional<Embedded<Out>> {
     std::vector<Out> outputs;
@@ -47,7 +46,7 @@ AggregateOp<In, Embedded<Out>, In, MachineT<In, In>>& make_embed_flatmap(
     return Embedded<Out>{std::move(outputs), kFromEmbed};
   };
   return flow.template add<AggregateOp<In, Embedded<Out>, In, MachineT<In, In>>>(
-      spec, key_all, std::move(f_o));
+      spec, KeyByAll{}, std::move(f_o));
 }
 
 }  // namespace aggspes

@@ -28,7 +28,7 @@ template <typename L, typename R, typename FlowT>
 AggregateOp<L, JoinSides<L, R>, L>& make_left_wrapper(FlowT& flow) {
   WindowSpec spec{.advance = kDelta, .size = kDelta};
   return flow.template add<AggregateOp<L, JoinSides<L, R>, L>>(
-      spec, [](const L& v) { return v; },
+      spec, KeyByAll{},
       [](const WindowView<L, L>& w) -> std::optional<JoinSides<L, R>> {
         JoinSides<L, R> s;
         for (const Tuple<L>& t : w.items) s.left.push_back(t.value);
@@ -41,7 +41,7 @@ template <typename L, typename R, typename FlowT>
 AggregateOp<R, JoinSides<L, R>, R>& make_right_wrapper(FlowT& flow) {
   WindowSpec spec{.advance = kDelta, .size = kDelta};
   return flow.template add<AggregateOp<R, JoinSides<L, R>, R>>(
-      spec, [](const R& v) { return v; },
+      spec, KeyByAll{},
       [](const WindowView<R, R>& w) -> std::optional<JoinSides<L, R>> {
         JoinSides<L, R> s;
         for (const Tuple<R>& t : w.items) s.right.push_back(t.value);

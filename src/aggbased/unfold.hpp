@@ -99,7 +99,7 @@ class UnfoldX {
       return std::nullopt;  // done looping
     };
     return flow.template add<A1>(
-        spec, [](const Env& e) { return e; }, std::move(f_o),
+        spec, KeyByAll{}, std::move(f_o),
         /*regular_inputs=*/1, /*loop_inputs=*/0, /*flush_on_end=*/false);
   }
 
@@ -110,8 +110,7 @@ class UnfoldX {
       const Env& t = w.items[0].value;
       return t.items()[static_cast<std::size_t>(t.index)];
     };
-    return flow.template add<A2>(spec, [](const Env& e) { return e; },
-                                 std::move(f_o));
+    return flow.template add<A2>(spec, KeyByAll{}, std::move(f_o));
   }
 
   C2Guard<T>& c2_;

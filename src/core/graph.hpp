@@ -43,20 +43,33 @@ class Consumer {
   virtual void receive_block(const Tuple<T>* ts, std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) receive(Element<T>{ts[i]});
   }
+
+  /// receive_block for a run the caller gives up: the consumer may move
+  /// the tuples out. The default reads the run in place through
+  /// receive_block, so a consumer that only overrides that one (a
+  /// wrapping shim, say) still sees every run.
+  virtual void take_block(Tuple<T>* ts, std::size_t n) {
+    receive_block(ts, n);
+  }
 };
 
 /// A consumer that forwards to a bound handler; nodes instantiate one per
 /// input port so multi-port (and multi-type) operators need no inheritance
 /// tricks. A port may additionally bind a block handler; without one,
 /// receive_block falls back to per-element delivery through `handler_`.
+/// A port may also bind a handler for the runs take_block gives up;
+/// without one, take_block reads them through receive_block.
 template <typename T>
 class Port final : public Consumer<T> {
  public:
   using Handler = std::function<void(const Element<T>&)>;
   using BlockHandler = std::function<void(const Tuple<T>*, std::size_t)>;
+  using TakeHandler = std::function<void(Tuple<T>*, std::size_t)>;
   explicit Port(Handler h) : handler_(std::move(h)) {}
-  Port(Handler h, BlockHandler b)
-      : handler_(std::move(h)), block_handler_(std::move(b)) {}
+  Port(Handler h, BlockHandler b, TakeHandler take = {})
+      : handler_(std::move(h)),
+        block_handler_(std::move(b)),
+        take_handler_(std::move(take)) {}
   void receive(const Element<T>& e) override { handler_(e); }
 
   void receive_block(const Tuple<T>* ts, std::size_t n) override {
@@ -67,9 +80,18 @@ class Port final : public Consumer<T> {
     }
   }
 
+  void take_block(Tuple<T>* ts, std::size_t n) override {
+    if (take_handler_) {
+      take_handler_(ts, n);
+    } else {
+      receive_block(ts, n);
+    }
+  }
+
  private:
   Handler handler_;
   BlockHandler block_handler_;
+  TakeHandler take_handler_;
 };
 
 /// Transport edge between an outlet and a consumer. Concrete channels are
@@ -282,8 +304,13 @@ class NodeBase {
   std::atomic<std::uint64_t> barriers_done_{0};
 };
 
-/// Whether an edge is a normal stream or a feedback loop (P3).
-enum class EdgeKind { kNormal, kLoop };
+/// Whether an edge is a normal stream or a feedback loop (P3). On
+/// ThreadedFlow a normal edge hands each drained tuple run over to the
+/// consumer (Consumer::take_block); a lent edge only lends it
+/// (receive_block), so whatever the consumer keeps it copies, allocated on
+/// its own thread. The single-threaded Flow delivers per element either
+/// way.
+enum class EdgeKind { kNormal, kLoop, kLent };
 
 namespace detail {
 

@@ -14,7 +14,9 @@
 // A, A+ (aggregate_plus.hpp) and A++ (aggregate_eager.hpp) are each one
 // class template over a window machine (DESIGN.md § 9, § 11):
 //
-//   * WindowMachine (default) — each tuple copied into every instance;
+//   * WindowMachine (default) — each tuple copied into every instance it
+//     overlaps (moved into the last); keyed by all, stored once per
+//     instance with no separate key;
 //   * swa::SlicedWindowMachine — each tuple stored once, in its pane;
 //   * swa::MonoidWindowMachine / DabaWindowMachine / TreeWindowMachine —
 //     per-pane monoid partials; f_O then reads the instance's
@@ -44,7 +46,7 @@ namespace aggspes {
 /// version byte — 0 when the state has no StateCodec, this value
 /// otherwise — then the machine's own save(). A node accepts only the
 /// byte it writes.
-inline constexpr std::uint8_t kAggregateCodecVersion = 4;
+inline constexpr std::uint8_t kAggregateCodecVersion = 5;
 
 namespace detail {
 
@@ -113,14 +115,11 @@ class WindowOpCore : public UnaryNode<In, Out> {
   }
 
   void on_tuple_block(int, const Tuple<In>* ts, std::size_t n) override {
-    // Machines with a batched ingest (SlicedEngine) take the run whole;
-    // WindowMachine keeps per-element semantics.
-    if constexpr (requires { machine_.add_block(ts, n, Timestamp{}, fire_,
-                                                added_); }) {
-      machine_.add_block(ts, n, this->watermark(), fire_, added_);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) on_tuple(0, ts[i]);
-    }
+    add_run(ts, n);
+  }
+
+  void on_taken_block(int, Tuple<In>* ts, std::size_t n) override {
+    add_run(ts, n);
   }
 
   void on_watermark(Timestamp w) override {
@@ -177,6 +176,22 @@ class WindowOpCore : public UnaryNode<In, Out> {
     const std::uint64_t stamp = Fired::stamp(r);
     for (Out& o : outs) {
       this->out_.push_tuple(Tuple<Out>{ts, stamp, std::move(o)});
+    }
+  }
+
+  /// Machines with a batched ingest (SlicedEngine) take the run whole;
+  /// WindowMachine keeps per-element semantics, and moves each tuple in
+  /// when the run was given up (`T` non-const: std::move then picks its
+  /// Tuple&& add; a const run binds the copying one).
+  template <typename T>
+  void add_run(T* ts, std::size_t n) {
+    if constexpr (requires { machine_.add_block(ts, n, Timestamp{}, fire_,
+                                                added_); }) {
+      machine_.add_block(ts, n, this->watermark(), fire_, added_);
+    } else {
+      for (std::size_t i = 0; i < n; ++i) {
+        machine_.add(std::move(ts[i]), this->watermark(), fire_, added_);
+      }
     }
   }
 

@@ -53,6 +53,9 @@ class UnaryNode : public NodeBase {
             [this, i](const Element<In>& e) { dispatch(i, false, e); },
             [this, i](const Tuple<In>* ts, std::size_t n) {
               on_tuple_block(i, ts, n);
+            },
+            [this, i](Tuple<In>* ts, std::size_t n) {
+              on_taken_block(i, ts, n);
             }));
       }
     }
@@ -83,6 +86,12 @@ class UnaryNode : public NodeBase {
   /// (Map/Filter, the monoid aggregates) override.
   virtual void on_tuple_block(int port, const Tuple<In>* ts, std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) on_tuple(port, ts[i]);
+  }
+
+  /// on_tuple_block for a run the channel gave up (ThreadedFlow's block
+  /// path): the node may move the tuples out. Default reads them in place.
+  virtual void on_taken_block(int port, Tuple<In>* ts, std::size_t n) {
+    on_tuple_block(port, ts, n);
   }
 
   virtual void on_watermark(Timestamp w) { out_.push_watermark(w); }

@@ -5,15 +5,18 @@
 // instance to their user functions (DESIGN.md § 9).
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <iterator>
 #include <map>
-#include <unordered_map>
+#include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "core/hashing.hpp"
 #include "core/recovery/snapshot.hpp"
 #include "core/runtime/overload.hpp"
 #include "core/swa/late_probe.hpp"
@@ -100,9 +103,24 @@ struct WindowView {
   TupleView<In> items;  ///< γ.ζ, in arrival order
 };
 
+/// f_K of a window keyed by *all* attributes (Listings 1–3): the key is
+/// the payload itself. WindowMachine recognises it and stores no key at
+/// all; every other machine calls it like any f_K.
+struct KeyByAll {
+  template <typename T>
+  const T& operator()(const T& v) const {
+    return v;
+  }
+};
+
 /// Window-state bookkeeping. The owner provides a `fire` callback invoked
 /// once per (instance, key) when the instance becomes complete, and again
 /// for every admitted late arrival (the Dataflow "updated output" rule).
+///
+/// An instance keeps one group per key, in first-arrival order, found
+/// through a hash index. A group keyed by KeyByAll is its own key — its
+/// first tuple's payload — so each tuple is stored and hashed once, and
+/// the `const Key&` handed to `fire` and `added` refers to that payload.
 template <typename In, typename Key>
 class WindowMachine {
  public:
@@ -115,7 +133,9 @@ class WindowMachine {
   using KeyFn = std::function<Key(const In&)>;
 
   WindowMachine(WindowSpec spec, KeyFn key_fn)
-      : spec_(spec), key_fn_(std::move(key_fn)) {}
+      : spec_(spec),
+        key_fn_(std::move(key_fn)),
+        by_all_(keys_by_all(key_fn_)) {}
 
   const WindowSpec& spec() const { return spec_; }
 
@@ -130,82 +150,32 @@ class WindowMachine {
   /// reject the tuple (counted in dropped_late()).
   void add(const Tuple<In>& t, Timestamp w, const FireFn& fire,
            const AddedFn& added = {}) {
-    Key key = key_fn_(t.value);
-    // Operator-level admission shedding: under overload the tuple is
-    // dropped before touching any instance, counted in shed(). Not part of
-    // the persisted snapshot — shedding is a runtime condition, not state.
-    if (shedder_ != nullptr &&
-        !shedder_->admit(static_cast<std::uint64_t>(std::hash<Key>{}(key)),
-                         t.ts, w)) {
-      return;
-    }
-    spec_.for_each_instance(t.ts, [&](Timestamp l) {
-      if (!spec_.admits(l, w)) {
-        ++dropped_late_;
-        if (late_probe_) late_probe_({l, t.ts, w, /*dropped=*/true});
-        return;
-      }
-      Bucket& b = instances_[l][key];
-      b.items.push_back(t);
-      if (++occupancy_ > peak_occupancy_) peak_occupancy_ = occupancy_;
-      if (instances_.size() > peak_instances_) {
-        peak_instances_ = instances_.size();
-      }
-      if (added) added(l, key, Result(b.items));
-      if (spec_.closes(l, w)) {
-        // The instance's result was (or would have been) already produced:
-        // emit an update right away.
-        const bool update = b.fired;
-        b.fired = true;
-        if (update) {
-          ++late_updates_;
-          if (late_probe_) late_probe_({l, t.ts, w, /*dropped=*/false});
-        }
-        fire(l, key, Result(b.items), update);
-      }
-    });
+    insert(t, w, fire, added);
+  }
+  /// As above, for a tuple the caller gives up: it is moved into the last
+  /// instance it falls in, and copied into each earlier one.
+  void add(Tuple<In>&& t, Timestamp w, const FireFn& fire,
+           const AddedFn& added = {}) {
+    insert(std::move(t), w, fire, added);
   }
 
   /// Fires every instance that became complete at watermark `w` and purges
   /// instances past their lateness horizon.
   void advance(Timestamp w, const FireFn& fire) {
     for (auto it = instances_.begin(); it != instances_.end(); ++it) {
-      const Timestamp l = it->first;
-      if (!spec_.closes(l, w)) break;  // map is ordered by l
-      for (auto& [key, bucket] : it->second) {
-        if (!bucket.fired) {
-          bucket.fired = true;
-          ++fired_instances_;
-          fire(l, key, Result(bucket.items), false);
-        }
-      }
-      if (spec_.lateness == 0) {
-        for (const auto& [key, bucket] : it->second) {
-          occupancy_ -= bucket.items.size();
-        }
-        it->second.clear();  // purged below
-      }
+      if (!spec_.closes(it->first, w)) break;  // map is ordered by l
+      fire_unfired(it->first, it->second, fire);
     }
     while (!instances_.empty() &&
            spec_.purgeable(instances_.begin()->first, w)) {
-      for (const auto& [key, bucket] : instances_.begin()->second) {
-        occupancy_ -= bucket.items.size();
-      }
+      occupancy_ -= stored(instances_.begin()->second);
       instances_.erase(instances_.begin());
     }
   }
 
   /// Fires everything still unfired (end-of-stream flush) and clears state.
   void flush(const FireFn& fire) {
-    for (auto& [l, keys] : instances_) {
-      for (auto& [key, bucket] : keys) {
-        if (!bucket.fired) {
-          bucket.fired = true;
-          ++fired_instances_;
-          fire(l, key, Result(bucket.items), false);
-        }
-      }
-    }
+    for (auto& [l, inst] : instances_) fire_unfired(l, inst, fire);
     instances_.clear();
     occupancy_ = 0;
   }
@@ -245,22 +215,25 @@ class WindowMachine {
   }
   const LateProbe& late_probe() const { return late_probe_; }
 
-  /// Serializes every open instance — items in arrival order plus the
-  /// `fired` flag — and the counters. The fired flag is what makes replay
-  /// idempotent: a restored instance that already produced its one output
-  /// will not fire again when replayed watermarks pass it.
+  /// Serializes whether groups are their own keys, then every open
+  /// instance — per group its key (unless keyed by all), items in arrival
+  /// order and the `fired` flag — and the counters. The fired flag is
+  /// what makes replay idempotent: a restored instance that already
+  /// produced its one output will not fire again when replayed watermarks
+  /// pass it.
   ///
   /// Only instantiated for payload/key types with a StateCodec (callers
   /// guard with `if constexpr (SnapshotSerializable<...>)`).
   void save(SnapshotWriter& w) const {
+    w.write_bool(by_all_);
     w.write_size(instances_.size());
-    for (const auto& [l, keys] : instances_) {
+    for (const auto& [l, inst] : instances_) {
       w.write_i64(l);
-      w.write_size(keys.size());
-      for (const auto& [key, bucket] : keys) {
-        write_value(w, key);
-        write_value(w, bucket.items);
-        w.write_bool(bucket.fired);
+      w.write_size(inst.groups.size());
+      for (std::size_t i = 0; i < inst.groups.size(); ++i) {
+        if (!by_all_) write_value(w, inst.keys[i]);
+        write_value(w, inst.groups[i].items);
+        w.write_bool(inst.groups[i].fired);
       }
     }
     w.write_u64(dropped_late_);
@@ -271,18 +244,44 @@ class WindowMachine {
   void load(SnapshotReader& r) {
     instances_.clear();
     occupancy_ = 0;
-    const std::size_t n_instances = r.read_count();
+    if (r.read_bool() != by_all_) {
+      throw SnapshotError("WindowMachine: the state was saved under a " +
+                          std::string(by_all_ ? "keyed" : "key-by-all") +
+                          " window");
+    }
+    // An instance takes at least l and its group count (16 bytes), a
+    // group its item count and fired flag (9).
+    const std::size_t n_instances = r.read_count(16);
     for (std::size_t i = 0; i < n_instances; ++i) {
       const Timestamp l = r.read_i64();
-      auto& keys = instances_[l];
-      const std::size_t n_keys = r.read_count();
-      for (std::size_t k = 0; k < n_keys; ++k) {
-        Key key = read_value<Key>(r);
-        Bucket b;
-        b.items = read_value<std::vector<Tuple<In>>>(r);
-        b.fired = r.read_bool();
-        occupancy_ += b.items.size();
-        keys.emplace(std::move(key), std::move(b));
+      auto [it, fresh] = instances_.try_emplace(l);
+      if (!fresh) {
+        throw SnapshotError("WindowMachine: instance " + std::to_string(l) +
+                            " saved twice");
+      }
+      Instance& inst = it->second;
+      const std::size_t n_groups = r.read_count(9);
+      for (std::size_t k = 0; k < n_groups; ++k) {
+        if (!by_all_) inst.keys.push_back(read_value<Key>(r));
+        Group g;
+        g.items = read_value<std::vector<Tuple<In>>>(r);
+        g.fired = r.read_bool();
+        if (g.items.empty()) {
+          throw SnapshotError("WindowMachine: empty group in instance " +
+                              std::to_string(l));
+        }
+        occupancy_ += g.items.size();
+        reserve_slot(inst);  // indexes the groups before this one
+        inst.groups.push_back(std::move(g));
+        const std::size_t at = inst.groups.size() - 1;
+        const Key& key = key_of(inst, at);
+        inst.groups[at].hash = std::hash<Key>{}(key);
+        std::uint32_t& slot = probe(inst, inst.groups[at].hash, key);
+        if (slot != 0) {
+          throw SnapshotError("WindowMachine: key saved twice in instance " +
+                              std::to_string(l));
+        }
+        slot = static_cast<std::uint32_t>(at + 1);
       }
     }
     dropped_late_ = r.read_u64();
@@ -293,14 +292,155 @@ class WindowMachine {
   }
 
  private:
-  struct Bucket {
+  struct Group {
     std::vector<Tuple<In>> items;
+    std::size_t hash{0};  ///< std::hash of the group's key
     bool fired{false};
   };
 
+  /// One window instance: its groups in first-arrival order, their keys
+  /// beside them (left empty when keyed by all: a group is then its own
+  /// key), and an open-addressed index holding each group's position + 1
+  /// (0 marks a free slot; linear probing, at most half full).
+  struct Instance {
+    std::vector<Group> groups;
+    std::vector<Key> keys;
+    std::vector<std::uint32_t> index;
+  };
+
+  static bool keys_by_all(const KeyFn& f) {
+    if constexpr (std::is_same_v<Key, In>) {
+      return f.template target<KeyByAll>() != nullptr;
+    } else {
+      return false;
+    }
+  }
+
+  template <typename T>
+  void insert(T&& t, Timestamp w, const FireFn& fire, const AddedFn& added) {
+    if constexpr (std::is_same_v<Key, In>) {
+      if (by_all_) {
+        // t.value is the key until t moves into its last instance, and the
+        // group's first payload after that.
+        place(std::forward<T>(t), t.value, w, fire, added);
+        return;
+      }
+    }
+    const Key key = key_fn_(t.value);
+    place(std::forward<T>(t), key, w, fire, added);
+  }
+
+  template <typename T>
+  void place(T&& t, const Key& key, Timestamp w, const FireFn& fire,
+             const AddedFn& added) {
+    const std::size_t h = std::hash<Key>{}(key);
+    const Timestamp ts = t.ts;  // `t` may move out before a late probe
+    // Operator-level admission shedding: under overload the tuple is
+    // dropped before touching any instance, counted in shed(). Not part of
+    // the persisted snapshot — shedding is a runtime condition, not state.
+    if (shedder_ != nullptr &&
+        !shedder_->admit(static_cast<std::uint64_t>(h), ts, w)) {
+      return;
+    }
+    const Timestamp last = spec_.last_instance(ts);
+    spec_.for_each_instance(ts, [&](Timestamp l) {
+      if (!spec_.admits(l, w)) {
+        ++dropped_late_;
+        if (late_probe_) late_probe_({l, ts, w, /*dropped=*/true});
+        return;
+      }
+      Instance& inst = instances_[l];
+      const std::size_t i = group_of(inst, h, key);
+      Group& g = inst.groups[i];
+      if (l == last) {
+        g.items.push_back(std::forward<T>(t));
+      } else {
+        g.items.push_back(t);
+      }
+      if (++occupancy_ > peak_occupancy_) peak_occupancy_ = occupancy_;
+      if (instances_.size() > peak_instances_) {
+        peak_instances_ = instances_.size();
+      }
+      const Key& group_key = key_of(inst, i);
+      if (added) added(l, group_key, Result(g.items));
+      if (spec_.closes(l, w)) {
+        // The instance's result was (or would have been) already produced:
+        // emit an update right away.
+        const bool update = g.fired;
+        g.fired = true;
+        if (update) {
+          ++late_updates_;
+          if (late_probe_) late_probe_({l, ts, w, /*dropped=*/false});
+        }
+        fire(l, group_key, Result(g.items), update);
+      }
+    });
+  }
+
+  void fire_unfired(Timestamp l, Instance& inst, const FireFn& fire) {
+    for (std::size_t i = 0; i < inst.groups.size(); ++i) {
+      Group& g = inst.groups[i];
+      if (!g.fired) {
+        g.fired = true;
+        ++fired_instances_;
+        fire(l, key_of(inst, i), Result(g.items), false);
+      }
+    }
+  }
+
+  static std::uint64_t stored(const Instance& inst) {
+    std::uint64_t n = 0;
+    for (const Group& g : inst.groups) n += g.items.size();
+    return n;
+  }
+
+  const Key& key_of(const Instance& inst, std::size_t i) const {
+    if constexpr (std::is_same_v<Key, In>) {
+      if (by_all_) return inst.groups[i].items.front().value;
+    }
+    return inst.keys[i];
+  }
+
+  /// Position of `key`'s group in `inst`, appended (empty) if new.
+  std::size_t group_of(Instance& inst, std::size_t h, const Key& key) {
+    reserve_slot(inst);
+    std::uint32_t& slot = probe(inst, h, key);
+    if (slot == 0) {
+      inst.groups.push_back(Group{{}, h, false});
+      if (!by_all_) inst.keys.push_back(key);
+      slot = static_cast<std::uint32_t>(inst.groups.size());
+    }
+    return slot - 1;
+  }
+
+  /// The index slot holding `key`'s group, or the free slot it would take.
+  std::uint32_t& probe(Instance& inst, std::size_t h, const Key& key) const {
+    const std::size_t mask = inst.index.size() - 1;
+    for (std::size_t i = splitmix64(h) & mask;; i = (i + 1) & mask) {
+      std::uint32_t& slot = inst.index[i];
+      if (slot == 0 || (inst.groups[slot - 1].hash == h &&
+                        key_of(inst, slot - 1) == key)) {
+        return slot;
+      }
+    }
+  }
+
+  /// Keeps the index at most half full once one more group joins.
+  static void reserve_slot(Instance& inst) {
+    if (2 * (inst.groups.size() + 1) <= inst.index.size()) return;
+    inst.index.assign(std::bit_ceil(4 * (inst.groups.size() + 1)), 0);
+    const std::size_t mask = inst.index.size() - 1;
+    for (std::size_t g = 0; g < inst.groups.size(); ++g) {
+      std::size_t i = splitmix64(inst.groups[g].hash) & mask;
+      while (inst.index[i] != 0) i = (i + 1) & mask;
+      inst.index[i] = static_cast<std::uint32_t>(g + 1);
+    }
+  }
+
   WindowSpec spec_;
   KeyFn key_fn_;
-  std::map<Timestamp, std::unordered_map<Key, Bucket>> instances_;
+  bool by_all_;  ///< f_K is KeyByAll: groups are their own keys
+  std::map<Timestamp, Instance> instances_;
   std::uint64_t dropped_late_{0};
   std::uint64_t late_updates_{0};
   std::uint64_t fired_instances_{0};

@@ -94,12 +94,14 @@ class SnapshotReader {
   std::size_t read_size() { return static_cast<std::size_t>(read_u64()); }
 
   /// Reads an element count for a codec whose every element takes at
-  /// least one byte, rejecting a count the remaining bytes cannot hold
-  /// before the caller allocates for it.
-  std::size_t read_count() {
+  /// least `min_elem_bytes` bytes, rejecting a count the remaining bytes
+  /// cannot hold before the caller allocates for it.
+  std::size_t read_count(std::size_t min_elem_bytes = 1) {
     const std::size_t n = read_size();
-    if (n > remaining()) {
-      throw SnapshotError("count " + std::to_string(n) + " exceeds the " +
+    if (n > remaining() / min_elem_bytes) {
+      throw SnapshotError("count " + std::to_string(n) + " of at least " +
+                          std::to_string(min_elem_bytes) +
+                          " bytes each exceeds the " +
                           std::to_string(remaining()) + " bytes left");
     }
     return n;
@@ -164,8 +166,17 @@ struct StateCodec<std::string> {
 // serializable themselves: without the constraints the specialization
 // would *declare* write/read for any element type (making the concept a
 // shallow check) and then fail at instantiation depth. Every codec writes
-// at least one byte per value, which is what lets read_count() bound a
-// decoded element count by the bytes left.
+// at least one byte per value (kMinEncodedBytes says where it is more),
+// which is what lets read_count() bound a decoded element count by the
+// bytes left.
+template <typename T>
+inline constexpr std::size_t kMinEncodedBytes = 1;
+
+/// A tuple writes its event time and stamp (16 bytes) before its payload.
+template <typename P>
+inline constexpr std::size_t kMinEncodedBytes<Tuple<P>> =
+    16 + kMinEncodedBytes<P>;
+
 template <typename T>
   requires SnapshotSerializable<T>
 struct StateCodec<std::vector<T>> {
@@ -175,7 +186,7 @@ struct StateCodec<std::vector<T>> {
   }
   static std::vector<T> read(SnapshotReader& r) {
     std::vector<T> v;
-    const std::size_t n = r.read_count();
+    const std::size_t n = r.read_count(kMinEncodedBytes<T>);
     v.reserve(n);
     for (std::size_t i = 0; i < n; ++i) v.push_back(read_value<T>(r));
     return v;

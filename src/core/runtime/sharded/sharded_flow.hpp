@@ -161,8 +161,15 @@ class ShardedFlow {
         // the splitter stalls sooner on whichever shard queue is full, and
         // sharded A and A+ lost 13–15 % of their saturation throughput on
         // fm-wiki-sharded4 (4-core host).
+        //
+        // It is lent: a shard copies what its windows keep on its own
+        // thread. Moved in, every shard's window state stayed in the
+        // allocator arena of the one thread that built the tuples; glibc
+        // keeps a thread arena's top resident after the flow ends, so
+        // flows rebuilt one after another (fresh threads, arenas handed
+        // round) raised peak RSS on fm-wiki-sharded4 by a quarter.
         flow.connect(*splitter_, splitter_->out(s), *ep.in_node, *ep.in,
-                     EdgeKind::kNormal, 2 * FlowT::kDefaultCapacity);
+                     EdgeKind::kLent, 2 * FlowT::kDefaultCapacity);
       } else {
         flow.connect(*splitter_, splitter_->out(s), *ep.in_node, *ep.in);
       }

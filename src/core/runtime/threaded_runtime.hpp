@@ -140,8 +140,7 @@ class ThreadedFlow {
     Runner* producer = index_.at(&from_node);
     Runner* consumer = index_.at(&to_node);
     auto chan = std::make_unique<ThreadedChannel<T>>(
-        this, to, kind == EdgeKind::kLoop, capacity, producer, consumer,
-        channels_.size());
+        this, to, kind, capacity, producer, consumer, channels_.size());
     from.subscribe(chan.get());
     producer->has_outputs = true;
     consumer->inputs.push_back(chan.get());
@@ -407,12 +406,13 @@ class ThreadedFlow {
   template <typename T>
   class ThreadedChannel final : public Channel<T>, public ChannelBase {
    public:
-    ThreadedChannel(ThreadedFlow* flow, Consumer<T>& target, bool loop,
+    ThreadedChannel(ThreadedFlow* flow, Consumer<T>& target, EdgeKind kind,
                     std::size_t capacity, Runner* producer, Runner* consumer,
                     std::size_t edge_id)
         : flow_(flow),
           target_(target),
-          loop_(loop),
+          loop_(kind == EdgeKind::kLoop),
+          lent_(kind == EdgeKind::kLent),
           queue_(capacity),
           producer_(producer),
           consumer_(consumer),
@@ -599,7 +599,11 @@ class ThreadedFlow {
             }
             pend_at_ = run_end;
             delivered_.fetch_add(n, std::memory_order_relaxed);
-            target_.receive_block(run_.data(), n);
+            if (lent_) {
+              target_.receive_block(run_.data(), n);
+            } else {
+              target_.take_block(run_.data(), n);  // run_ is scratch
+            }
             delivered = true;
             continue;
           }
@@ -722,6 +726,7 @@ class ThreadedFlow {
     ThreadedFlow* flow_;
     Consumer<T>& target_;
     bool loop_;
+    bool lent_;  ///< runs reach the consumer read-only (EdgeKind::kLent)
     SpscQueue<Element<T>> queue_;
     std::mutex mu_;
     std::deque<Element<T>> overflow_;

@@ -285,7 +285,7 @@ RunResult run_fm_sharded(Impl impl, const RunConfig& cfg,
   typename ShardedFlow<In, Out, In>::Options opts;
   // Theorem 1 routing: key = the whole payload, so identical tuples
   // co-locate — the same f_K the AggBased embedding uses.
-  opts.key_fn = [](const In& v) { return v; };
+  opts.key_fn = KeyByAll{};
   opts.shed = cfg.shed;
   opts.thresholds = cfg.overload;
 

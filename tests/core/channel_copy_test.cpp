@@ -5,16 +5,24 @@
 // in the same order), loop edges still withhold watermarks and EOS on the
 // moving path (P3), and a producer blocked on a full queue retries with
 // the same element instead of copying it per attempt. Checked on both
-// runtimes with a payload that counts its own copies.
+// runtimes with a payload that counts its own copies. ThreadedFlow's block
+// path hands each run over (Consumer::take_block), so a key-by-all A or
+// A+ moves its tuples into the window machine; a shim that only knows
+// receive_block, or a lent edge, still delivers every run, at one copy
+// per tuple.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "core/graph.hpp"
+#include "core/operators/aggregate.hpp"
+#include "core/operators/aggregate_plus.hpp"
+#include "core/operators/sink.hpp"
 #include "core/runtime/threaded_runtime.hpp"
 
 namespace aggspes {
@@ -39,7 +47,23 @@ struct Counted {
     id = o.id;
     return *this;
   }
+  friend bool operator==(const Counted& a, const Counted& b) {
+    return a.id == b.id;
+  }
 };
+
+}  // namespace
+}  // namespace aggspes
+
+template <>
+struct std::hash<aggspes::Counted> {
+  std::size_t operator()(const aggspes::Counted& c) const {
+    return std::hash<int>{}(c.id);
+  }
+};
+
+namespace aggspes {
+namespace {
 
 /// Records what arrives without copying the payload.
 struct Recorder {
@@ -201,6 +225,132 @@ TEST(ChannelCopies, BackpressuredProducerRetriesWithoutCopying) {
   EXPECT_EQ(sink.rec.ids, iota_ids(kSlowTuples));
   EXPECT_GT(flow.channel_gauges().at(0).stall_ns, 0u)
       << "the producer never blocked, so no retry was exercised";
+}
+
+// --- key-by-all window machines on the block path ----------------------------
+
+/// Pushes its tuples as one block (Channel::push_block copies each into
+/// the queue once, in a single bulk enqueue, so the consumer drains them
+/// as one run), then a watermark and EOS.
+class CountedBlockSource final : public NodeBase {
+ public:
+  explicit CountedBlockSource(std::vector<Tuple<Counted>> ts)
+      : ts_(std::move(ts)) {}
+  void pump() override {
+    out_.push_block(ts_.data(), ts_.size());
+    out_.push_watermark(1000);
+    out_.push_end();
+  }
+  Outlet<Counted>& out() { return out_; }
+
+ private:
+  std::vector<Tuple<Counted>> ts_;
+  Outlet<Counted> out_;
+};
+
+/// Forwards everything, overriding only receive and receive_block — the
+/// shape of a timing shim written before take_block existed.
+class ReadOnlyShim final : public Consumer<Counted> {
+ public:
+  explicit ReadOnlyShim(Consumer<Counted>& inner) : inner_(inner) {}
+  void receive(const Element<Counted>& e) override { inner_.receive(e); }
+  void receive_block(const Tuple<Counted>* ts, std::size_t n) override {
+    ++blocks;
+    inner_.receive_block(ts, n);
+  }
+  int blocks{0};
+
+ private:
+  Consumer<Counted>& inner_;
+};
+
+constexpr int kRun = 200;  // one channel block, below the queue capacity
+
+/// kRun tuples, eight per event time, ids repeating every 12: most
+/// δ-instances hold duplicates.
+std::vector<Tuple<Counted>> run_tuples() {
+  std::vector<Tuple<Counted>> ts;
+  for (int i = 0; i < kRun; ++i) {
+    ts.push_back(Tuple<Counted>{Timestamp(i / 8), 0, Counted{i % 12}});
+  }
+  return ts;
+}
+
+/// Σ over every fired group of (payload id × multiplicity).
+long weighted_sum(const std::vector<Tuple<long>>& out) {
+  long s = 0;
+  for (const Tuple<long>& t : out) s += t.value;
+  return s;
+}
+
+long expected_sum() {
+  long s = 0;
+  for (const Tuple<Counted>& t : run_tuples()) s += t.value.id;
+  return s;
+}
+
+long group_weight(const WindowView<Counted, Counted>& w) {
+  EXPECT_EQ(w.key, w.items[0].value);
+  return static_cast<long>(w.key.id) * static_cast<long>(w.items.size());
+}
+
+template <typename Op, typename Fo>
+std::uint64_t run_by_all(Fo f_o, bool shim, std::vector<Tuple<long>>& out,
+                         EdgeKind kind = EdgeKind::kNormal) {
+  ThreadedFlow flow;
+  auto& src = flow.add<CountedBlockSource>(run_tuples());
+  auto& op = flow.add<Op>(WindowSpec{.advance = kDelta, .size = kDelta},
+                          KeyByAll{}, f_o);
+  auto& sink = flow.add<CollectorSink<long>>();
+  ReadOnlyShim wrapped(op.in());
+  flow.connect(src, src.out(), op,
+               shim ? static_cast<Consumer<Counted>&>(wrapped) : op.in(),
+               kind);
+  flow.connect(op, op.out(), sink, sink.in());
+  Counted::copies = 0;
+  flow.run();
+  if (shim) {
+    EXPECT_GT(wrapped.blocks, 0);
+  }
+  out = sink.tuples();
+  return Counted::copies.load();
+}
+
+// The only copy left is push_block's enqueue: the taken run moves into
+// the machine, whose key is the stored payload itself.
+TEST(ChannelCopies, ThreadedKeyByAllAggregatesMoveTheRunIn) {
+  using A = AggregateOp<Counted, long, Counted>;
+  using Aplus = AggregatePlusOp<Counted, long, Counted>;
+  std::vector<Tuple<long>> out;
+  EXPECT_EQ(run_by_all<A>(
+                [](const WindowView<Counted, Counted>& w)
+                    -> std::optional<long> { return group_weight(w); },
+                /*shim=*/false, out),
+            static_cast<std::uint64_t>(kRun));
+  EXPECT_EQ(weighted_sum(out), expected_sum());
+  EXPECT_EQ(run_by_all<Aplus>(
+                [](const WindowView<Counted, Counted>& w) {
+                  return std::vector<long>{group_weight(w)};
+                },
+                /*shim=*/false, out),
+            static_cast<std::uint64_t>(kRun));
+  EXPECT_EQ(weighted_sum(out), expected_sum());
+}
+
+// A consumer that knows only receive_block gets the run read-only, and so
+// does every consumer of a lent edge: the machine then stores a copy of
+// each tuple. Same outputs, one more copy.
+TEST(ChannelCopies, ReadOnlyRunsAreCopiedIntoTheMachine) {
+  using A = AggregateOp<Counted, long, Counted>;
+  const auto f_o = [](const WindowView<Counted, Counted>& w)
+      -> std::optional<long> { return group_weight(w); };
+  std::vector<Tuple<long>> out;
+  EXPECT_EQ(run_by_all<A>(f_o, /*shim=*/true, out),
+            static_cast<std::uint64_t>(2 * kRun));
+  EXPECT_EQ(weighted_sum(out), expected_sum());
+  EXPECT_EQ(run_by_all<A>(f_o, /*shim=*/false, out, EdgeKind::kLent),
+            static_cast<std::uint64_t>(2 * kRun));
+  EXPECT_EQ(weighted_sum(out), expected_sum());
 }
 
 }  // namespace

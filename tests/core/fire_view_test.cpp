@@ -2,9 +2,11 @@
 // user functions a TupleView into the window machine's own state, so
 // evaluating a fire copies no payload on either tuple-holding machine, and
 // the A+ join's match copies only the pairs it emits. Checked with a
-// payload that counts its own copies, as in channel_copy_test.
+// payload that counts its own copies, as in channel_copy_test. A window
+// keyed by all attributes (KeyByAll) stores a lent tuple with one copy and
+// a handed-over one with none, and keeps no key beside it.
 //
-// The second half pins the view's lifetime: late re-fires into a cell whose
+// The last part pins the view's lifetime: late re-fires into a cell whose
 // entry vector reallocates between two fires of the same instance must
 // read exactly what the buffering oracle reads (and, under ASan, never a
 // freed entry).
@@ -13,12 +15,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <random>
 #include <utility>
 #include <vector>
 
 #include "aggbased/aplus.hpp"
 #include "core/graph.hpp"
+#include "core/operators/aggregate.hpp"
 #include "core/operators/aggregate_eager.hpp"
 #include "core/operators/aggregate_plus.hpp"
 #include "core/operators/sink.hpp"
@@ -192,6 +196,60 @@ TEST(FireCopies, EagerEvaluatesArrivalsAndFiresInPlace) {
 TEST(FireCopies, AplusJoinMatchCopiesOnlyEmittedPairs) {
   check_aplus_join<WindowMachine>("buffering");
   check_aplus_join<swa::SlicedWindowMachine>("sliced-replay");
+}
+
+// --- key-by-all windows -------------------------------------------------------
+
+constexpr WindowSpec kDeltaSpec{.advance = kDelta, .size = kDelta};
+
+int id_times_count(const WindowView<Counted, Counted>& w) {
+  return w.key.id * static_cast<int>(w.items.size());
+}
+
+template <typename Op, typename Fo>
+void check_by_all_per_element(Fo f_o, const char* name) {
+  Op op(kDeltaSpec, KeyByAll{}, f_o);
+  const Copies c = drive(op);
+  // Flow's per-element path lends the tuple: one copy stores it, and the
+  // key is that stored payload.
+  EXPECT_EQ(c.on_add, static_cast<std::uint64_t>(kTuples)) << name;
+  EXPECT_EQ(c.stored, static_cast<std::uint64_t>(kTuples)) << name;
+  EXPECT_EQ(c.on_fire, 0u) << name;
+}
+
+TEST(FireCopies, KeyByAllStoresALentTupleWithOneCopy) {
+  check_by_all_per_element<AggregateOp<Counted, int, Counted>>(
+      [](const WindowView<Counted, Counted>& w) -> std::optional<int> {
+        return id_times_count(w);
+      },
+      "A");
+  check_by_all_per_element<AggregatePlusOp<Counted, int, Counted>>(
+      [](const WindowView<Counted, Counted>& w) {
+        return std::vector<int>{id_times_count(w)};
+      },
+      "A+");
+}
+
+// A run handed over through take_block (ThreadedFlow's block path) moves
+// into a δ window without a copy; an overlapping window copies each tuple
+// into every instance but the last, which takes the tuple itself.
+TEST(FireCopies, KeyByAllMovesATakenRunIntoItsLastInstance) {
+  for (const WindowSpec spec : {kDeltaSpec, kSpec}) {
+    SCOPED_TRACE(spec.size);
+    AggregatePlusOp<Counted, int, Counted> op(
+        spec, KeyByAll{}, [](const WindowView<Counted, Counted>& w) {
+          return std::vector<int>{id_times_count(w)};
+        });
+    std::vector<Tuple<Counted>> run;
+    for (int i = 0; i < kTuples; ++i) {
+      run.push_back(Tuple<Counted>{i / 4, 0, Counted{i % 6}});
+    }
+    Counted::copies = 0;
+    op.in().take_block(run.data(), run.size());
+    EXPECT_EQ(Counted::copies, op.machine().occupancy() - kTuples);
+    EXPECT_EQ(op.machine().occupancy(),
+              static_cast<std::uint64_t>(kTuples * (spec.size / spec.advance)));
+  }
 }
 
 // --- view lifetime ----------------------------------------------------------

@@ -4,7 +4,28 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <functional>
+#include <map>
 #include <vector>
+
+namespace aggspes {
+namespace {
+
+/// A payload every value of which hashes alike: groups can only be told
+/// apart by comparing values.
+struct Colliding {
+  int id{0};
+  friend bool operator==(const Colliding&, const Colliding&) = default;
+};
+
+}  // namespace
+}  // namespace aggspes
+
+template <>
+struct std::hash<aggspes::Colliding> {
+  std::size_t operator()(const aggspes::Colliding&) const { return 42; }
+};
 
 namespace aggspes {
 namespace {
@@ -149,6 +170,47 @@ TEST_F(MachineFixture, LateProbeIsRateLimited) {
   EXPECT_EQ(seen[0].tuple_ts, 2);
   EXPECT_EQ(seen[0].watermark, 15);
   EXPECT_EQ(machine_.late_probe().observed(), 7u);
+}
+
+// Two distinct values with one hash in one δ-instance stay two groups,
+// each fired once with its own multiplicity, whether the window keeps its
+// keys (an identity f_K) or is keyed by all (no stored key, compared
+// against each group's first payload). Twelve more values push the index
+// through a rebuild with every slot colliding.
+TEST(WindowMachineCollision, EqualHashesStayDistinctGroups) {
+  using M = WindowMachine<Colliding, Colliding>;
+  const WindowSpec delta{.advance = kDelta, .size = kDelta};
+  for (const bool by_all : {false, true}) {
+    SCOPED_TRACE(by_all ? "keyed by all" : "identity f_K");
+    M m(delta, by_all ? M::KeyFn(KeyByAll{})
+                      : M::KeyFn([](const Colliding& c) { return c; }));
+    std::map<int, std::size_t> fired;  // id -> multiplicity
+    int fires = 0;
+    M::FireFn fire = [&](Timestamp l, const Colliding& key,
+                         const TupleView<Colliding>& items, bool update) {
+      ++fires;
+      EXPECT_EQ(l, 7);
+      EXPECT_FALSE(update);
+      for (const Tuple<Colliding>& t : items) EXPECT_EQ(t.value, key);
+      // Keyed by all, the key handed out is the group's first payload.
+      EXPECT_EQ(&key == &items[0].value, by_all);
+      fired[key.id] = items.size();
+    };
+    m.add({7, 0, Colliding{1}}, kMinTimestamp, fire);
+    m.add({7, 0, Colliding{2}}, kMinTimestamp, fire);
+    m.add({7, 0, Colliding{1}}, kMinTimestamp, fire);
+    for (int id = 10; id < 22; ++id) {
+      m.add({7, 0, Colliding{id}}, kMinTimestamp, fire);
+    }
+    m.add({7, 0, Colliding{2}}, kMinTimestamp, fire);
+    m.add({7, 0, Colliding{1}}, kMinTimestamp, fire);
+    m.advance(8, fire);
+    EXPECT_EQ(fires, 14);
+    EXPECT_EQ(fired[1], 3u);
+    EXPECT_EQ(fired[2], 2u);
+    for (int id = 10; id < 22; ++id) EXPECT_EQ(fired[id], 1u) << id;
+    EXPECT_EQ(m.occupancy(), 0u);  // purged
+  }
 }
 
 TEST(WindowMachineStamp, MaxStampHelper) {

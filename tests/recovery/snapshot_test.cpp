@@ -87,6 +87,33 @@ TEST(Snapshot, HugeVectorLengthThrowsBeforeAllocating) {
   EXPECT_THROW(read_value<std::vector<int>>(r), SnapshotError);
 }
 
+// A tuple encodes at least 16 bytes (ts and stamp) before its payload, so
+// a tuple count is bounded by 16 bytes per element, not one: a count the
+// bytes could hold at one byte each still fails up front, before the
+// vector reserves room for it.
+TEST(Snapshot, TupleCountIsBoundedBySixteenBytesEach) {
+  constexpr std::size_t kCount = 1000;
+  SnapshotWriter w;
+  w.write_size(kCount);
+  for (std::size_t i = 0; i < 2 * kCount; ++i) w.write_pod<std::uint8_t>(0);
+  const auto bytes = w.take();
+
+  SnapshotReader at_one(bytes);
+  EXPECT_EQ(at_one.read_count(), kCount);  // fits at one byte each
+  SnapshotReader at_sixteen(bytes);
+  EXPECT_THROW(at_sixteen.read_count(16), SnapshotError);
+
+  SnapshotReader r(bytes);
+  try {
+    read_value<std::vector<Tuple<int>>>(r);
+    FAIL() << "a 1000-tuple count over 2000 bytes decoded";
+  } catch (const SnapshotError& e) {
+    // Rejected at the count, not after reading tuples into a reserve.
+    EXPECT_EQ(std::string(e.what()).rfind("snapshot: count", 0), 0u)
+        << e.what();
+  }
+}
+
 template <typename T>
 T round_trip(const T& v) {
   SnapshotWriter w;

@@ -221,7 +221,8 @@ TEST(SwaSnapshot, MonoidLateUpdateSpansCut) {
 // The shared Aggregate layout: [base][version][machine save]. A node with
 // a codec accepts only its own version byte: 0 (the no-codec byte), 1 (the
 // old has_state bool), 2 (the old monoid layout), 3 (the single-query
-// engine layout) and any other byte raise SnapshotError.
+// engine layout), 4 (per-group keys in every buffering window) and any
+// other byte raise SnapshotError.
 TEST(SwaSnapshot, UnknownCodecVersionIsRejected) {
   const auto key = [](const int& v) { return v % 2; };
   machine_matrix::for_each_machine<long>([&]<typename M>(const char* name) {
@@ -237,7 +238,7 @@ TEST(SwaSnapshot, UnknownCodecVersionIsRejected) {
     const std::size_t at = bytes.size() - machine_w.bytes().size() - 1;
     ASSERT_EQ(bytes[at], kAggregateCodecVersion);
 
-    for (std::uint8_t version : {0, 1, 2, 3, 5, 255}) {
+    for (std::uint8_t version : {0, 1, 2, 3, 4, 255}) {
       auto patched = bytes;
       patched[at] = version;
       Flow b;
