@@ -89,7 +89,7 @@ class C2Guard final : public UnaryNode<Embedded<T>, Embedded<T>> {
     // drains and they reach A1 ahead of any replayed source element.
     if (r.read_bool()) {
       if constexpr (kSerializable) {
-        const std::size_t n = r.read_count();
+        const std::size_t n = r.read_count(kMinEncodedBytes<Tuple<Env>>);
         std::vector<Tuple<Env>> logged;
         logged.reserve(n);
         for (std::size_t i = 0; i < n; ++i) {

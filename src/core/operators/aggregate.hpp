@@ -46,7 +46,7 @@ namespace aggspes {
 /// version byte — 0 when the state has no StateCodec, this value
 /// otherwise — then the machine's own save(). A node accepts only the
 /// byte it writes.
-inline constexpr std::uint8_t kAggregateCodecVersion = 5;
+inline constexpr std::uint8_t kAggregateCodecVersion = 6;
 
 namespace detail {
 

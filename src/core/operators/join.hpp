@@ -51,21 +51,6 @@ class JoinOp final : public BinaryNode<L, R, std::pair<L, R>> {
         f_p_(std::move(f_p)),
         store_(spec) {}
 
-  using LeftEquiHash = typename Store::LeftEquiHash;
-  using RightEquiHash = typename Store::RightEquiHash;
-
-  /// Declares f_P equi-only: f_P(a, b) can only hold when
-  /// h_l(a) == h_r(b). Probes then walk just the matching hash bucket of
-  /// the stored side instead of every candidate of the key — f_P is
-  /// still applied to each candidate, so hash collisions cost
-  /// comparisons, never correctness, and output stays element-identical
-  /// to the unindexed (and buffering) paths.
-  void declare_equi(LeftEquiHash h_l, RightEquiHash h_r) {
-    equi_l_ = std::move(h_l);
-    equi_r_ = std::move(h_r);
-    store_.declare_equi(equi_l_, equi_r_);
-  }
-
   std::uint64_t comparisons() const { return comparisons_; }
   std::uint64_t dropped_late() const { return dropped_late_; }
 
@@ -105,19 +90,12 @@ class JoinOp final : public BinaryNode<L, R, std::pair<L, R>> {
  protected:
   void on_left(const Tuple<L>& t) override {
     const Key key = f_k1_(t.value);
-    const bool equi = static_cast<bool>(equi_l_);
-    const std::uint64_t h = equi ? equi_l_(t.value) : 0;
     bool stored = false;
     for_each_open_instance(t.ts, [&](Timestamp l) {
-      auto test = [&](const Tuple<R>& r) {
+      store_.for_each_right(l, key, [&](const Tuple<R>& r) {
         ++comparisons_;
         if (f_p_(t.value, r.value)) emit(l, t, r);
-      };
-      if (equi) {
-        store_.for_each_right_equi(l, key, h, test);
-      } else {
-        store_.for_each_right(l, key, test);
-      }
+      });
       if (!stored) {
         store_.add_left(key, t);
         stored = true;
@@ -127,19 +105,12 @@ class JoinOp final : public BinaryNode<L, R, std::pair<L, R>> {
 
   void on_right(const Tuple<R>& t) override {
     const Key key = f_k2_(t.value);
-    const bool equi = static_cast<bool>(equi_r_);
-    const std::uint64_t h = equi ? equi_r_(t.value) : 0;
     bool stored = false;
     for_each_open_instance(t.ts, [&](Timestamp l) {
-      auto test = [&](const Tuple<L>& lft) {
+      store_.for_each_left(l, key, [&](const Tuple<L>& lft) {
         ++comparisons_;
         if (f_p_(lft.value, t.value)) emit(l, lft, t);
-      };
-      if (equi) {
-        store_.for_each_left_equi(l, key, h, test);
-      } else {
-        store_.for_each_left(l, key, test);
-      }
+      });
       if (!stored) {
         store_.add_right(key, t);
         stored = true;
@@ -180,8 +151,6 @@ class JoinOp final : public BinaryNode<L, R, std::pair<L, R>> {
   LeftKeyFn f_k1_;
   RightKeyFn f_k2_;
   Predicate f_p_;
-  LeftEquiHash equi_l_;
-  RightEquiHash equi_r_;
   Store store_;
   std::uint64_t comparisons_{0};
   std::uint64_t dropped_late_{0};

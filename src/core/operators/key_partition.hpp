@@ -162,8 +162,9 @@ class KeySplitter final : public NodeBase {
       throw SnapshotError("KeySplitter: unknown codec version " +
                           std::to_string(version));
     }
+    // A shard's cursor pair takes 16 bytes.
     std::vector<std::pair<std::uint64_t, std::uint64_t>> cursors(
-        r.read_count());
+        r.read_count(2 * sizeof(std::uint64_t)));
     for (auto& [routed, logged] : cursors) {
       routed = r.read_u64();
       logged = r.read_u64();

@@ -18,7 +18,6 @@
 
 #include "core/hashing.hpp"
 #include "core/recovery/snapshot.hpp"
-#include "core/runtime/overload.hpp"
 #include "core/swa/late_probe.hpp"
 #include "core/types.hpp"
 #include "core/window.hpp"
@@ -185,14 +184,6 @@ class WindowMachine {
   std::uint64_t fired_instances() const { return fired_instances_; }
   std::size_t open_instances() const { return instances_.size(); }
 
-  /// Installs an operator-level load shedder consulted at add() admission.
-  /// The shedder owns the shed/admitted counters; it must outlive the
-  /// machine. nullptr (the default) disables shedding entirely.
-  void set_shedder(Shedder* shedder) { shedder_ = shedder; }
-  std::uint64_t shed() const {
-    return shedder_ != nullptr ? shedder_->shed() : 0;
-  }
-
   /// Occupancy diagnostics: tuple copies currently buffered (one per
   /// overlapping instance — the fan-out the sliced backends avoid) and
   /// high-water marks since the last reset_diagnostics(). peak_panes()
@@ -335,13 +326,6 @@ class WindowMachine {
              const AddedFn& added) {
     const std::size_t h = std::hash<Key>{}(key);
     const Timestamp ts = t.ts;  // `t` may move out before a late probe
-    // Operator-level admission shedding: under overload the tuple is
-    // dropped before touching any instance, counted in shed(). Not part of
-    // the persisted snapshot — shedding is a runtime condition, not state.
-    if (shedder_ != nullptr &&
-        !shedder_->admit(static_cast<std::uint64_t>(h), ts, w)) {
-      return;
-    }
     const Timestamp last = spec_.last_instance(ts);
     spec_.for_each_instance(ts, [&](Timestamp l) {
       if (!spec_.admits(l, w)) {
@@ -448,7 +432,6 @@ class WindowMachine {
   std::uint64_t peak_occupancy_{0};
   std::size_t peak_instances_{0};
   LateProbe late_probe_;
-  Shedder* shedder_{nullptr};
 };
 
 /// Largest wall-clock stamp among a window's items (latency metadata: an

@@ -38,7 +38,7 @@ namespace aggspes {
 /// Snapshot layout of MultiQueryOp: the base watermark state, one version
 /// byte — 0 when the state has no StateCodec, this value otherwise — then
 /// the engine's save(). A node accepts only the byte it writes.
-inline constexpr std::uint8_t kMultiQueryCodecVersion = 2;
+inline constexpr std::uint8_t kMultiQueryCodecVersion = 3;
 
 template <typename In, typename Out, typename Key,
           typename Machine = swa::SlicedWindowMachine<In, Key>>

@@ -8,11 +8,12 @@
 // the monitor, which classifies the flow as healthy / pressured /
 // overloaded from (a) queue high-water fractions and (b) the event-time lag
 // between the watermark frontier (sources) and the slowest consumer. All
-// monitor state is atomic: producers (sources, window machines) read
-// health() wait-free on their hot paths.
+// monitor state is atomic: admission edges read health() wait-free on
+// their hot paths.
 //
-// Degradation — Shedder. A pluggable ShedPolicy applied at admission edges
-// (the source's emit loop, WindowMachine/SlicedEngine::add):
+// Degradation — Shedder. A pluggable ShedPolicy applied at the two
+// admission edges: the RateSource's emit loop and, in a sharded flow,
+// each shard's gate in the KeySplitter:
 //   * none              — never sheds; byte-identical to a build without
 //                         overload control.
 //   * random-p          — sheds each tuple with probability p(health),
@@ -35,7 +36,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -264,8 +264,8 @@ class Shedder {
     if (drop) {
       shed_.fetch_add(1, std::memory_order_relaxed);
       // Like the rng, the per-key map is producer-thread state: admit()
-      // is called from the one source thread this shedder gates, so a
-      // plain map is safe; readers consume it after the run.
+      // is called from the one thread this shedder gates, so a plain map
+      // is safe; readers consume it after the run.
       ++shed_by_key_[key_hash];
     } else {
       admitted_.fetch_add(1, std::memory_order_relaxed);
@@ -282,27 +282,6 @@ class Shedder {
   const std::unordered_map<std::uint64_t, std::uint64_t>& shed_by_key()
       const {
     return shed_by_key_;
-  }
-
-  /// Attributes an already-counted shed decision to query `query`. The
-  /// pane engine stores each tuple once, so one admit() refusal is a loss
-  /// for *every* query whose instance set contained the tuple; the engine
-  /// calls this once per affected query so per-query accounting
-  /// does not mis-attribute flow-global drops. Producer-thread state, like
-  /// shed_by_key_ (see admit()); readers consume it after the run.
-  void attribute_query(int query, std::uint64_t n = 1) {
-    shed_by_query_[query] += n;
-  }
-
-  /// Tuples shed per registered query (keyed by query index, ordered so
-  /// reports are deterministic). Only populated by the pane engine.
-  const std::map<int, std::uint64_t>& shed_by_query() const {
-    return shed_by_query_;
-  }
-
-  std::uint64_t shed_for_query(int query) const {
-    auto it = shed_by_query_.find(query);
-    return it == shed_by_query_.end() ? 0 : it->second;
   }
 
   /// The k heaviest-shed keys as (key hash, shed count), descending by
@@ -349,7 +328,6 @@ class Shedder {
   std::atomic<std::uint64_t> shed_{0};
   std::atomic<std::uint64_t> admitted_{0};
   std::unordered_map<std::uint64_t, std::uint64_t> shed_by_key_;
-  std::map<int, std::uint64_t> shed_by_query_;
 };
 
 }  // namespace aggspes

@@ -314,13 +314,6 @@ class ThreadedFlow {
 
   static constexpr std::size_t kDefaultCapacity = 1024;
 
-  /// Micro-batch size for the channel hot path (DESIGN.md § 16): how many
-  /// elements a consumer drains per deliver_one and how many a bulk
-  /// push_block hands to push_n. Values <= 1 disable batching (legacy
-  /// per-element transfer). Must be set before run() starts threads.
-  void set_batch_block(std::size_t n) { batch_block_ = n; }
-  std::size_t batch_block() const { return batch_block_; }
-
  private:
   struct Runner;
 
@@ -493,10 +486,6 @@ class ThreadedFlow {
         }
         return;
       }
-      if (flow_->batch_block_ <= 1) {
-        for (std::size_t i = 0; i < n; ++i) push(Element<T>{ts[i]});
-        return;
-      }
       out_scratch_.clear();
       out_scratch_.reserve(n);
       for (std::size_t i = 0; i < n; ++i) {
@@ -562,10 +551,9 @@ class ThreadedFlow {
           pending_.push_back(std::move(overflow_.front()));
           overflow_.pop_front();
         } else {
-          const std::size_t want =
-              flow_->batch_block_ > 1 ? flow_->batch_block_ : 1;
-          pending_.resize(want);
-          const std::size_t got = queue_.pop_n(pending_.data(), want);
+          pending_.resize(kElementBlockCapacity);
+          const std::size_t got =
+              queue_.pop_n(pending_.data(), kElementBlockCapacity);
           pending_.resize(got);
           if (got == 0) return false;
         }
@@ -885,7 +873,6 @@ class ThreadedFlow {
   std::unordered_map<const NodeBase*, Runner*> index_;
 
   std::atomic<bool> abort_{false};
-  std::size_t batch_block_{kElementBlockCapacity};
   SnapshotExecutor* executor_{nullptr};
   OverloadMonitor* monitor_{nullptr};
   std::vector<OverloadScope> scopes_;

@@ -17,12 +17,12 @@
 // The tree is a treap keyed by pane timestamp with per-node subtree
 // aggregates, priorities drawn deterministically from the pane timestamp
 // (seeded splitmix64) so runs reproduce bit-for-bit. Like every policy
-// cache it is rebuilt from the authoritative pane cells after restore and
-// bounded per key count by the shared LRU knob.
+// cache it is rebuilt from the authoritative pane cells after restore.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <unordered_map>
 #include <utility>
 
 #include "core/recovery/snapshot.hpp"
@@ -218,7 +218,7 @@ class AggTreap {
 /// O(log P) range query; an absorb — in order or late — refreshes exactly
 /// one node in place (no versioning, no cross-key invalidation). The trees
 /// are caches: rebuilt lazily from the authoritative pane cells after
-/// restore or LRU eviction, kept exact by upserts on absorb and erases on
+/// restore, kept exact by upserts on absorb and erases on
 /// pane purge (SlicedEngine calls on_pane_purged).
 template <typename In, typename Agg, typename Key>
 class LatticeMonoidPolicy : public MonoidPolicyCore<In, Agg, Key> {
@@ -230,21 +230,18 @@ class LatticeMonoidPolicy : public MonoidPolicyCore<In, Agg, Key> {
 
   /// Implicit from a monoid, like the FIFO policies: how an Aggregate's
   /// monoid reaches its machine.
-  LatticeMonoidPolicy(Monoid<In, Agg> m, std::size_t max_cached_keys = 0)
-      : Base(std::move(m)) {
-    cache_.set_max(max_cached_keys);
-  }
+  LatticeMonoidPolicy(Monoid<In, Agg> m) : Base(std::move(m)) {}
 
   void absorb(const Key& key, Cell& c, Timestamp pane_l, const Tuple<In>& t,
               std::uint64_t /*seq*/) {
     this->fold_into(c, t);
-    KeyTree* kt = cache_.find(key);
-    if (kt != nullptr && kt->built) {
+    auto kt = cache_.find(key);
+    if (kt != cache_.end() && kt->second.built) {
       // New or mutated pane: refresh its node from the authoritative cell
       // so the tree stays exact over all live panes. O(log P), whether the
       // arrival was in-order or late.
-      kt->tree.upsert(pane_l, Result{c.agg, c.count, c.stamp},
-                      this->combiner());
+      kt->second.tree.upsert(pane_l, Result{c.agg, c.count, c.stamp},
+                             this->combiner());
     }
   }
 
@@ -252,7 +249,7 @@ class LatticeMonoidPolicy : public MonoidPolicyCore<In, Agg, Key> {
   const Result& evaluate(const PaneMap& panes, const WindowSpec& spec,
                          const PaneGeometry&, Timestamp l, const Key& key,
                          bool /*sequential*/) {
-    KeyTree& kt = cache_.touch(key);
+    KeyTree& kt = cache_[key];
     if (!kt.built) {
       kt.tree.clear();
       for (const auto& [p, cells] : panes) {
@@ -277,27 +274,19 @@ class LatticeMonoidPolicy : public MonoidPolicyCore<In, Agg, Key> {
   template <typename Cells>
   void on_pane_purged(Timestamp p, const Cells& cells) {
     for (const auto& [key, cell] : cells) {
-      KeyTree* kt = cache_.find(key);
-      if (kt != nullptr && kt->built) kt->tree.erase(p, this->combiner());
+      auto kt = cache_.find(key);
+      if (kt != cache_.end() && kt->second.built) {
+        kt->second.tree.erase(p, this->combiner());
+      }
     }
   }
 
   void reset() { cache_.clear(); }
 
-  /// Bounded per-key cache memory (0 = unbounded); evictions drop trees
-  /// only, never pane state.
-  void set_max_cached_keys(std::size_t n) { cache_.set_max(n); }
-  std::size_t max_cached_keys() const { return cache_.max(); }
-  std::size_t cached_keys() const { return cache_.size(); }
-  std::uint64_t cache_evictions() const { return cache_.evictions(); }
-  std::uint64_t peak_cached_keys() const { return cache_.peak_size(); }
   /// Full per-key tree builds since the last reset (first fire after
-  /// construction, restore, or eviction).
+  /// construction or restore).
   std::uint64_t rebuilds() const { return rebuilds_; }
-  void reset_diagnostics() {
-    cache_.reset_diagnostics();
-    rebuilds_ = 0;
-  }
+  void reset_diagnostics() { rebuilds_ = 0; }
 
  private:
   struct KeyTree {
@@ -305,7 +294,7 @@ class LatticeMonoidPolicy : public MonoidPolicyCore<In, Agg, Key> {
     bool built{false};
   };
 
-  KeyCacheLru<Key, KeyTree> cache_;
+  std::unordered_map<Key, KeyTree> cache_;
   std::uint64_t rebuilds_{0};
 };
 

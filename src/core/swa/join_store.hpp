@@ -10,18 +10,6 @@
 // keeps the pane-backed JoinOp's output element-identical to the buffering
 // one.
 //
-// Equi index (opt-in, declare_equi): when the join predicate is declared
-// equi-only — f_P(a, b) can only hold when h_L(a) == h_R(b) for declared
-// 64-bit hashes — each cell side additionally buckets its entries by that
-// hash, and a probe walks just the matching bucket instead of every
-// stored candidate of the key. Buckets hold deque indices (stable under
-// push_back; a pane's buckets die with its cell in purge_closed), probes
-// collect bucket entries across the instance's panes and order them by
-// seq — the same global arrival order as the linear path — and f_P is
-// still applied to every candidate, so hash collisions cost comparisons,
-// never correctness. The index is derived state: load() rebuilds it from
-// the entries, it is never serialized.
-//
 // A pane dies once the *last* instance containing it is closed by the
 // watermark (L = 0 for J, § 3): closes is monotone in w and antitone in l,
 // so no open instance can still reach the pane.
@@ -48,7 +36,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -70,18 +57,11 @@ class JoinPaneStore {
     std::uint64_t seq{0};  ///< global arrival order across both sides
     Tuple<T> t;
   };
-  /// deque index lists per declared equi hash; empty unless declare_equi.
-  using EquiBuckets =
-      std::unordered_map<std::uint64_t, std::vector<std::size_t>>;
   struct Cell {
     std::deque<Entry<L>> lefts;
     std::deque<Entry<R>> rights;
-    EquiBuckets left_eq;
-    EquiBuckets right_eq;
   };
   using PaneMap = std::map<Timestamp, std::unordered_map<Key, Cell>>;
-  using LeftEquiHash = std::function<std::uint64_t(const L&)>;
-  using RightEquiHash = std::function<std::uint64_t(const R&)>;
 
   explicit JoinPaneStore(WindowSpec spec)
       : spec_(spec), geom_(PaneGeometry::of(spec)) {}
@@ -89,23 +69,12 @@ class JoinPaneStore {
   const WindowSpec& spec() const { return spec_; }
   const PaneGeometry& geometry() const { return geom_; }
 
-  /// Switches the indexed probe path on (see the header comment). Legal
-  /// at any time; already-stored entries are indexed retroactively.
-  void declare_equi(LeftEquiHash h_l, RightEquiHash h_r) {
-    equi_l_ = std::move(h_l);
-    equi_r_ = std::move(h_r);
-    rebuild_equi();
-  }
-
-  bool has_equi() const { return static_cast<bool>(equi_l_); }
-
   /// Stores `t` exactly once, in its pane, and lists it in every open
   /// instance containing it. Callers only store tuples that fall in at
   /// least one open instance.
   void add_left(const Key& key, const Tuple<L>& t) {
     Cell& c = cell(key, t.ts);
     c.lefts.push_back({next_seq_++, t});
-    if (equi_l_) c.left_eq[equi_l_(t.value)].push_back(c.lefts.size() - 1);
     index(key, c.lefts.back(), &Lists::lefts);
     bump_occupancy();
   }
@@ -113,9 +82,6 @@ class JoinPaneStore {
   void add_right(const Key& key, const Tuple<R>& t) {
     Cell& c = cell(key, t.ts);
     c.rights.push_back({next_seq_++, t});
-    if (equi_r_) {
-      c.right_eq[equi_r_(t.value)].push_back(c.rights.size() - 1);
-    }
     index(key, c.rights.back(), &Lists::rights);
     bump_occupancy();
   }
@@ -135,32 +101,6 @@ class JoinPaneStore {
     if (const Lists* ls = lists(l, key)) {
       for (const Entry<R>* e : ls->rights) fn(e->t);
     }
-  }
-
-  /// Indexed variants: only candidates whose declared equi hash equals
-  /// `h`, still in global arrival order. Requires declare_equi.
-  template <typename Fn>
-  void for_each_left_equi(Timestamp l, const Key& key, std::uint64_t h,
-                          Fn&& fn) const {
-    equi_probe<Entry<L>>(
-        l, key, h,
-        [](const Cell& c) -> const std::deque<Entry<L>>& {
-          return c.lefts;
-        },
-        [](const Cell& c) -> const EquiBuckets& { return c.left_eq; },
-        fn);
-  }
-
-  template <typename Fn>
-  void for_each_right_equi(Timestamp l, const Key& key, std::uint64_t h,
-                           Fn&& fn) const {
-    equi_probe<Entry<R>>(
-        l, key, h,
-        [](const Cell& c) -> const std::deque<Entry<R>>& {
-          return c.rights;
-        },
-        [](const Cell& c) -> const EquiBuckets& { return c.right_eq; },
-        fn);
   }
 
   /// Erases panes no open instance can reach (the pane analogue of the
@@ -254,7 +194,6 @@ class JoinPaneStore {
     rebuild_index();
     peak_occupancy_ = occupancy_;
     peak_panes_ = panes_.size();
-    if (has_equi()) rebuild_equi();
   }
 
  private:
@@ -326,48 +265,6 @@ class JoinPaneStore {
     }
   }
 
-  /// Collects the candidates of bucket `h` across the instance's panes
-  /// and replays them in seq order — arrival-order-identical to the
-  /// linear probe restricted to that bucket. Uncached: the bucket already
-  /// cut the candidate set to (near-)matches, so there is no repeated
-  /// full-range sort for a cursor to amortize.
-  template <typename E, typename Side, typename Buckets, typename Fn>
-  void equi_probe(Timestamp l, const Key& key, std::uint64_t h,
-                  Side&& side, Buckets&& buckets, Fn&& fn) const {
-    std::vector<const E*> cands;
-    const Timestamp end = l + spec_.size;
-    for (auto it = panes_.lower_bound(l);
-         it != panes_.end() && it->first < end; ++it) {
-      auto c = it->second.find(key);
-      if (c == it->second.end()) continue;
-      const EquiBuckets& bk = buckets(c->second);
-      auto b = bk.find(h);
-      if (b == bk.end()) continue;
-      const auto& entries = side(c->second);
-      for (std::size_t idx : b->second) cands.push_back(&entries[idx]);
-    }
-    std::sort(cands.begin(), cands.end(),
-              [](const E* a, const E* b) { return a->seq < b->seq; });
-    for (const E* e : cands) fn(e->t);
-  }
-
-  /// Re-derives every cell's buckets from its entries (declare_equi on a
-  /// populated store, or snapshot load).
-  void rebuild_equi() {
-    for (auto& [p, cells] : panes_) {
-      for (auto& [key, c] : cells) {
-        c.left_eq.clear();
-        c.right_eq.clear();
-        for (std::size_t i = 0; i < c.lefts.size(); ++i) {
-          c.left_eq[equi_l_(c.lefts[i].t.value)].push_back(i);
-        }
-        for (std::size_t i = 0; i < c.rights.size(); ++i) {
-          c.right_eq[equi_r_(c.rights[i].t.value)].push_back(i);
-        }
-      }
-    }
-  }
-
   template <typename T>
   static void save_entries(SnapshotWriter& w, const std::deque<Entry<T>>& v) {
     w.write_size(v.size());
@@ -413,8 +310,6 @@ class JoinPaneStore {
   std::uint64_t occupancy_{0};
   std::uint64_t peak_occupancy_{0};
   std::uint64_t peak_panes_{0};
-  LeftEquiHash equi_l_;
-  RightEquiHash equi_r_;
 };
 
 }  // namespace aggspes::swa

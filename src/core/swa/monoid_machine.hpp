@@ -13,7 +13,7 @@
 // authoritative pane cells, which is also why snapshots persist only the
 // cells and reset() drops the stacks wholesale.
 //
-// The policy machinery (cell format, combiner, LRU key-cache bound,
+// The policy machinery (cell format, combiner, per-key caches,
 // version/frontier invalidation) lives in policy_base.hpp, shared with
 // DabaPolicy (daba.hpp — same sliding FIFO, worst-case O(1) evict) and
 // LatticeMonoidPolicy (agg_tree.hpp — no invalidation on out-of-order).

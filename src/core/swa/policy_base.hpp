@@ -11,11 +11,6 @@
 //     used by non-sequential (late re-fire / eager) evaluation, and the
 //     cell snapshot codec. Caches are never serialized; correctness never
 //     depends on them.
-//   * KeyCacheLru — bounded per-key cache bookkeeping: an optional LRU
-//     over the policy's per-key structures (set_max_cached_keys), so high
-//     key cardinality cannot grow cache memory without bound. Evicting a
-//     key only drops its cache — the next fire rebuilds it from the pane
-//     cells — so the knob trades CPU for memory, never correctness.
 //   * FifoMonoidPolicy — the full sliding-FIFO policy, generic over the
 //     FIFO aggregator (TwoStacks or DabaLite): per-key [from, to) pane
 //     ranges slid by evict/push, with the PR-2 out-of-order rule (a
@@ -27,7 +22,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <list>
 #include <unordered_map>
 #include <utility>
 
@@ -152,66 +146,6 @@ class MonoidPolicyCore {
   Result result_{};
 };
 
-/// Bounded per-key cache bookkeeping shared by the incremental policies:
-/// a find-or-insert map of per-key states plus an optional LRU bound.
-/// max == 0 means unbounded (the default — identical to the PR-2
-/// behaviour); with a bound, touching a key moves it to the front and
-/// inserting past the bound evicts the least-recently-fired key's cache.
-template <typename Key, typename State>
-class KeyCacheLru {
- public:
-  struct Entry {
-    State state;
-    typename std::list<Key>::iterator lru;
-  };
-
-  void set_max(std::size_t n) { max_ = n; }
-  std::size_t max() const { return max_; }
-  std::size_t size() const { return map_.size(); }
-  std::uint64_t evictions() const { return evictions_; }
-  std::uint64_t peak_size() const { return peak_size_; }
-  void reset_diagnostics() {
-    evictions_ = 0;
-    peak_size_ = map_.size();
-  }
-
-  /// Find-or-insert `key`, refreshing its recency. May evict another
-  /// key's state (never the one just touched).
-  State& touch(const Key& key) {
-    auto [it, inserted] = map_.try_emplace(key);
-    if (inserted) {
-      order_.push_front(key);
-      it->second.lru = order_.begin();
-      if (map_.size() > peak_size_) peak_size_ = map_.size();
-      if (max_ > 0 && map_.size() > max_) {
-        map_.erase(order_.back());
-        order_.pop_back();
-        ++evictions_;
-      }
-    } else if (it->second.lru != order_.begin()) {
-      order_.splice(order_.begin(), order_, it->second.lru);
-    }
-    return it->second.state;
-  }
-
-  State* find(const Key& key) {
-    auto it = map_.find(key);
-    return it == map_.end() ? nullptr : &it->second.state;
-  }
-
-  void clear() {
-    map_.clear();
-    order_.clear();
-  }
-
- private:
-  std::unordered_map<Key, Entry> map_;
-  std::list<Key> order_;  ///< most-recently-touched first
-  std::size_t max_{0};    ///< 0 = unbounded
-  std::uint64_t evictions_{0};
-  std::uint64_t peak_size_{0};
-};
-
 /// The sliding-FIFO incremental policy, generic over the FIFO aggregator:
 /// Fifo = TwoStacks gives MonoidPolicy (amortized O(1), the PR-2
 /// behaviour), Fifo = DabaLite gives DabaPolicy (worst-case O(1) — no
@@ -228,10 +162,7 @@ class FifoMonoidPolicy : public MonoidPolicyCore<In, Agg, Key> {
 
   /// Implicit from a monoid: how an Aggregate's monoid reaches its machine
   /// (SlicedEngine takes the policy by value).
-  FifoMonoidPolicy(Monoid<In, Agg> m, std::size_t max_cached_keys = 0)
-      : Base(std::move(m)) {
-    cache_.set_max(max_cached_keys);
-  }
+  FifoMonoidPolicy(Monoid<In, Agg> m) : Base(std::move(m)) {}
 
   void absorb(const Key& /*key*/, Cell& c, Timestamp pane_l,
               const Tuple<In>& t, std::uint64_t /*seq*/) {
@@ -261,7 +192,7 @@ class FifoMonoidPolicy : public MonoidPolicyCore<In, Agg, Key> {
       this->result_ = this->fold_range(panes, l, end, key);
       return this->result_;
     }
-    KeyFifo& ks = cache_.touch(key);
+    KeyFifo& ks = cache_[key];
     if (ks.version != version_ || ks.from > l || ks.to > end ||
         ks.to < ks.from) {
       ks.fifo.clear();
@@ -291,15 +222,6 @@ class FifoMonoidPolicy : public MonoidPolicyCore<In, Agg, Key> {
     frontier_ = kMinTimestamp;
   }
 
-  /// Bounded per-key cache memory: at most n keys keep a live FIFO
-  /// (0 = unbounded). Evictions drop caches only, never window state.
-  void set_max_cached_keys(std::size_t n) { cache_.set_max(n); }
-  std::size_t max_cached_keys() const { return cache_.max(); }
-  std::size_t cached_keys() const { return cache_.size(); }
-  std::uint64_t cache_evictions() const { return cache_.evictions(); }
-  std::uint64_t peak_cached_keys() const { return cache_.peak_size(); }
-  void reset_diagnostics() { cache_.reset_diagnostics(); }
-
  private:
   /// Per-key sliding cache: one FIFO entry per pane in [from, to).
   struct KeyFifo {
@@ -309,7 +231,7 @@ class FifoMonoidPolicy : public MonoidPolicyCore<In, Agg, Key> {
     std::uint64_t version{~std::uint64_t{0}};  // mismatch → rebuild on use
   };
 
-  KeyCacheLru<Key, KeyFifo> cache_;
+  std::unordered_map<Key, KeyFifo> cache_;
   Timestamp frontier_{kMinTimestamp};  ///< max pane boundary inside any cache
   std::uint64_t version_{0};
 };

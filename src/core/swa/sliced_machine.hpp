@@ -11,7 +11,7 @@
 // A single-query machine is the Q = 1 case.
 //
 // Per tuple, everything is shared: the pane cells, the arrival sequence,
-// occupancy and its peaks, the shedder and the MVCC pane map. Per query
+// occupancy and its peaks, and the MVCC pane map. Per query
 // the engine keeps what a dedicated single-query engine would: fired
 // flags, the fire-walk cursor, the lateness horizon, the key-union cache,
 // the drop/update/fire counters and the late probe. Each query's fires are
@@ -27,14 +27,10 @@
 //   * floor_div instance math, so negative timestamps land in the same
 //     instances and panes.
 //
-// Sharing has two consequences handled explicitly:
-//   * Lateness is per query. A tuple dead to query A but live to query B
-//     is stored; A never sees it, because A's purged instances are never
-//     evaluated again. A pane is erased only when every query's last
-//     instance containing it is purgeable.
-//   * Shedding is a store-level decision: the shedder is consulted once
-//     per tuple, and a refusal is charged to every query whose instance
-//     set contained the tuple (Shedder::attribute_query).
+// Sharing has one consequence handled explicitly: lateness is per query.
+// A tuple dead to query A but live to query B is stored; A never sees it,
+// because A's purged instances are never evaluated again. A pane is erased
+// only when every query's last instance containing it is purgeable.
 //
 // The evaluation strategy is pluggable (Policy): ReplayPolicy fires a
 // view that reads an instance's tuples in place, in global arrival order,
@@ -67,7 +63,6 @@
 
 #include "core/operators/window_machine.hpp"
 #include "core/recovery/snapshot.hpp"
-#include "core/runtime/overload.hpp"
 #include "core/swa/epoch.hpp"
 #include "core/swa/late_probe.hpp"
 #include "core/swa/pane.hpp"
@@ -137,7 +132,6 @@ class SlicedEngine {
   void add(const Tuple<In>& t, Timestamp w, const Fire& fire,
            const AddedFn& added = {}) {
     Key key = key_fn_(t.value);
-    if (!admit(key_hash(key), t.ts, w)) return;
     const Timestamp pane_l = geom_.pane_of(t.ts);
     if (!added && in_order(pane_l, t.ts, w)) {
       if (memo_store_) store_tuple(key, pane_l, t);
@@ -152,10 +146,7 @@ class SlicedEngine {
   /// sub-runs and absorbs each with ONE policy call — the columnar kernel
   /// when the monoid is tagged — while anything needing the slow path
   /// (late/closing tuples, eager hooks, policies without absorb_run) takes
-  /// the per-tuple route. Shedder admission is consulted exactly once per
-  /// tuple in arrival order, so shed accounting and the shedder's
-  /// deterministic decision stream are identical to calling add() per
-  /// element.
+  /// the per-tuple route.
   template <typename Fire>
   void add_block(const Tuple<In>* ts, std::size_t n, Timestamp w,
                  const Fire& fire, const AddedFn& added = {}) {
@@ -169,11 +160,6 @@ class SlicedEngine {
     while (i < n) {
       const Tuple<In>& t = ts[i];
       Key key = key_fn_(t.value);
-      const std::uint64_t hash = key_hash(key);
-      if (!admit(hash, t.ts, w)) {
-        ++i;
-        continue;
-      }
       const Timestamp pane_l = geom_.pane_of(t.ts);
       if (!in_order(pane_l, t.ts, w)) {
         add_slow(t, w, per_query(fire), {}, key, pane_l);
@@ -181,22 +167,17 @@ class SlicedEngine {
         continue;
       }
       // Every same-pane tuple shares t's verdicts (see in_order), so only
-      // the pane range, the key and admission remain per tuple here.
+      // the pane range and the key remain per tuple here.
       const Timestamp pane_end = pane_l + geom_.width;
-      bool shed_next = false;
       std::size_t j = i + 1;
       while (j < n) {
         const Tuple<In>& u = ts[j];
         if (u.ts < pane_l || u.ts >= pane_end) break;
         if (!(key_fn_(u.value) == key)) break;
-        if (!admit(hash, u.ts, w)) {
-          shed_next = true;  // u is dropped; the run ends before it
-          break;
-        }
         ++j;
       }
       if (memo_store_) store_run(key, pane_l, ts + i, j - i);
-      i = shed_next ? j + 1 : j;
+      i = j;
     }
   }
 
@@ -259,18 +240,6 @@ class SlicedEngine {
   }
   std::size_t open_panes() const { return panes_.size(); }
 
-  /// Installs an operator-level load shedder consulted once per tuple at
-  /// admission (same contract as WindowMachine::set_shedder). The shedder
-  /// owns the counters and must outlive the engine; nullptr disables
-  /// shedding.
-  void set_shedder(Shedder* shedder) { shedder_ = shedder; }
-  std::uint64_t shed() const {
-    return shedder_ != nullptr ? shedder_->shed() : 0;
-  }
-  std::uint64_t shed_for_query(int q) const {
-    return shedder_ != nullptr ? shedder_->shed_for_query(q) : 0;
-  }
-
   /// Occupancy diagnostics: tuples currently stored (each exactly once —
   /// Policy::cell_count reports a cell's contribution, entries for replay,
   /// folded count for monoid partials) and high-water marks since the last
@@ -282,9 +251,8 @@ class SlicedEngine {
     peak_occupancy_ = occupancy_;
     peak_panes_ = panes_.size();
     for (Query& qu : queries_) qu.late_probe.reset();
-    // Policies with their own diagnostics (cache evictions, tree rebuilds,
-    // peak cached keys) clear them under the same call, so a reset leaves
-    // no counter from a previous run.
+    // Policies with their own diagnostics (tree rebuilds) clear them under
+    // the same call, so a reset leaves no counter from a previous run.
     if constexpr (requires(Policy& p) { p.reset_diagnostics(); }) {
       policy_.reset_diagnostics();
     }
@@ -314,12 +282,6 @@ class SlicedEngine {
                                                          every);
   }
   const LateProbe& late_probe(int q = 0) const { return query(q).late_probe; }
-
-  /// Policies with a bounded per-key cache (the monoid family) persist
-  /// the bound with the state, so a restored machine keeps its memory knob.
-  static constexpr bool kCacheBound = requires(Policy& p) {
-    p.set_max_cached_keys(p.max_cached_keys());
-  };
 
   /// The part of one query's state a snapshot carries.
   struct QueryState {
@@ -373,19 +335,17 @@ class SlicedEngine {
     }
   };
 
-  /// Serializes the policy's cache bound (when it has one), the pane
-  /// cells, the sequence counter, the query count and each query's state —
-  /// one cut covers all Q queries. Policy caches (two-stacks, trees) are
+  /// Serializes the pane cells, the sequence counter, the query count and
+  /// each query's state — one cut covers all Q queries. Policy caches (two-stacks, trees) are
   /// rebuilt after load, never persisted: a snapshot cannot resurrect a
   /// stale cached aggregate.
   void save(SnapshotWriter& w) const {
-    write_state(w, cache_bound(), panes_, next_seq_, queries_, policy_);
+    write_state(w, panes_, next_seq_, queries_, policy_);
   }
 
   /// Restores a save(); the snapshot's query count must match the
   /// registered specs.
   void load(SnapshotReader& r) {
-    if constexpr (kCacheBound) policy_.set_max_cached_keys(r.read_u64());
     panes_.clear();
     occupancy_ = 0;
     const std::size_t n_panes = r.read_count();
@@ -428,13 +388,12 @@ class SlicedEngine {
     PaneMap panes;
     std::vector<QueryState> queries;
     std::uint64_t next_seq{0};
-    std::uint64_t max_cached_keys{0};  ///< the cache bound, if kCacheBound
     const Policy* policy{nullptr};
     std::shared_ptr<EpochRegistry> registry;
     std::uint64_t epoch{0};
 
     void serialize(SnapshotWriter& w) const {
-      write_state(w, max_cached_keys, panes, next_seq, queries, *policy);
+      write_state(w, panes, next_seq, queries, *policy);
     }
 
     /// Cache-free fold of query q's instance [l, l + WS_q) for one key —
@@ -463,7 +422,6 @@ class SlicedEngine {
     f.panes = panes_.freeze();
     f.queries.assign(queries_.begin(), queries_.end());
     f.next_seq = next_seq_;
-    f.max_cached_keys = cache_bound();
     f.policy = &policy_;
     f.registry = registry_;
     return f;
@@ -497,19 +455,10 @@ class SlicedEngine {
     return queries_[static_cast<std::size_t>(q)];
   }
 
-  std::uint64_t cache_bound() const {
-    if constexpr (kCacheBound) {
-      return policy_.max_cached_keys();
-    } else {
-      return 0;
-    }
-  }
-
   template <typename Queries>
-  static void write_state(SnapshotWriter& w, std::uint64_t max_cached_keys,
-                          const PaneMap& panes, std::uint64_t next_seq,
-                          const Queries& queries, const Policy& policy) {
-    if constexpr (kCacheBound) w.write_u64(max_cached_keys);
+  static void write_state(SnapshotWriter& w, const PaneMap& panes,
+                          std::uint64_t next_seq, const Queries& queries,
+                          const Policy& policy) {
     w.write_size(panes.size());
     for (const auto& [p, cells] : panes) {
       w.write_i64(p);
@@ -548,23 +497,6 @@ class SlicedEngine {
   static void touch_cursor(Query& qu, Timestamp first) {
     if (!qu.have_cursor || first < qu.cursor) qu.cursor = first;
     qu.have_cursor = true;
-  }
-
-  std::uint64_t key_hash(const Key& key) const {
-    return shedder_ != nullptr
-               ? static_cast<std::uint64_t>(std::hash<Key>{}(key))
-               : 0;
-  }
-
-  /// One shedder decision per tuple; a refusal is charged to every query
-  /// that would have received the tuple (a tuple in query q's WS < WA gap
-  /// sheds nothing from q).
-  bool admit(std::uint64_t key_hash, Timestamp ts, Timestamp w) {
-    if (shedder_ == nullptr || shedder_->admit(key_hash, ts, w)) return true;
-    for (int q = 0; q < query_count(); ++q) {
-      if (contains(query(q).spec, ts)) shedder_->attribute_query(q);
-    }
-    return false;
   }
 
   /// The one verdict shortcut. g divides every WA and WS, so a tuple's
@@ -842,7 +774,6 @@ class SlicedEngine {
   std::uint64_t occupancy_{0};
   std::uint64_t peak_occupancy_{0};
   std::uint64_t peak_panes_{0};
-  Shedder* shedder_{nullptr};
   std::shared_ptr<EpochRegistry> registry_;
 };
 
@@ -911,7 +842,8 @@ class ReplayPolicy {
 
   Cell load_cell(SnapshotReader& r) const {
     Cell c;
-    const std::size_t n = r.read_count();
+    // An entry writes its seq (8 bytes) before its tuple.
+    const std::size_t n = r.read_count(8 + kMinEncodedBytes<Tuple<In>>);
     c.entries.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       const std::uint64_t seq = r.read_u64();

@@ -8,9 +8,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <variant>
-#include <vector>
 
 namespace aggspes {
 
@@ -95,35 +93,9 @@ bool is_marker(const Element<P>& e) {
   return std::holds_alternative<CheckpointMarker>(e);
 }
 
-/// Default micro-batch size: how many tuples a channel moves (and an
-/// operator processes) per block on the batched hot path (DESIGN.md § 16).
+/// Micro-batch size: how many elements a threaded channel moves per bulk
+/// transfer, and at most how many tuples a consumer receives as one run
+/// (DESIGN.md § 16).
 inline constexpr std::size_t kElementBlockCapacity = 256;
-
-/// A micro-batch of stream elements: a contiguous run of tuples plus at
-/// most one trailing control element (watermark / end-of-stream / marker).
-/// A block NEVER carries a control element before a tuple — the control
-/// slot closes the block — so bulk-processing the tuple run is always
-/// legal under the channel's FIFO/barrier rules (a block never spans a
-/// marker). Blocks are assembled at channel boundaries; the queues
-/// themselves still carry `Element`s, bulk-moved one block at a time.
-template <typename P>
-struct ElementBlock {
-  std::vector<Tuple<P>> tuples;
-  std::optional<Element<P>> control;
-
-  ElementBlock() { tuples.reserve(kElementBlockCapacity); }
-
-  bool empty() const { return tuples.empty() && !control.has_value(); }
-  bool full() const { return tuples.size() >= kElementBlockCapacity; }
-
-  /// True once the block is closed by a control element (nothing may be
-  /// appended after it).
-  bool closed() const { return control.has_value(); }
-
-  void clear() {
-    tuples.clear();
-    control.reset();
-  }
-};
 
 }  // namespace aggspes

@@ -107,32 +107,10 @@ struct RunConfig {
   /// shard's Shedder reads its own OverloadMonitor). Join runners reject
   /// shards > 1 (two-input co-partitioning is not wired yet).
   int shards{1};
-  /// Multi-query mode (DESIGN.md § 14): when non-empty, run_multiquery
-  /// (harness/multiquery.hpp) hosts one window query per spec on a single
-  /// pane engine (MultiQueryOp) instead of the single-query pipelines
-  /// above, and RunResult carries per-query slices. Shedding gates the
-  /// engine's store edge (one decision per tuple, attributed
-  /// per query) rather than source admission.
-  std::vector<WindowSpec> queries;
 };
 
 /// How many of the heaviest-shed keys a run reports.
 inline constexpr std::size_t kShedTopK = 8;
-
-/// One query's slice of a multi-query run (RunResult::per_query): its
-/// spec, outputs emitted, and the shared engine's per-query accounting —
-/// store-level sheds attributed to it (Shedder::attribute_query), its own
-/// lateness drops/updates, and walk-fired instances. Shed/late numbers
-/// are per query by construction, not a flow-global total divided by Q.
-struct QueryDiag {
-  Timestamp advance{0};  ///< WA of the registered spec
-  Timestamp size{0};     ///< WS of the registered spec
-  std::uint64_t outputs{0};
-  std::uint64_t shed{0};
-  std::uint64_t dropped_late{0};
-  std::uint64_t late_updates{0};
-  std::uint64_t fired_instances{0};
-};
 
 struct RunResult {
   double offered_per_s{0};   ///< configured injection rate
@@ -170,12 +148,6 @@ struct RunResult {
   /// (total state footprint across shards).
   int shards{1};
   std::vector<ShardStats> per_shard;
-  /// Multi-query deployment (cfg.queries, DESIGN.md § 14): how many
-  /// queries the shared engine hosted (1 = classic single-query run) and
-  /// per-query slices, empty for single-query runs. outputs_per_s and
-  /// latency stay meaningful as the whole-flow aggregates.
-  int queries{1};
-  std::vector<QueryDiag> per_query;
 };
 
 /// A pipeline runner at a given injection rate (implementation and

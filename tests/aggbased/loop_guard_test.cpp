@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/operators/sink.hpp"
@@ -115,6 +117,35 @@ TEST(C2Guard, NoLoopTrafficIsTransparent) {
   h.main(Element<Env>{EndOfStream{}});
   EXPECT_EQ(h.sink.watermarks(), (std::vector<Timestamp>{5, 9}));
   EXPECT_TRUE(h.sink.ended());
+}
+
+// The recorded loop tuples' count is bounded by a tuple's encoded width
+// (16 bytes of ts and stamp, then the payload), not by one byte each: a
+// count that fits at one byte per tuple but not at that width is refused
+// before anything is reserved for it.
+TEST(C2Guard, LoggedTupleCountIsBoundedByTupleWidth) {
+  C2Harness h(/*lateness=*/5);
+  SnapshotWriter w;
+  h.guard.snapshot_to(w);
+  auto bytes = w.take();
+  // The cut ends with the log's [true][count 0]; swap in a 1000-tuple
+  // count over 2000 bytes.
+  bytes.resize(bytes.size() - sizeof(std::uint64_t));
+  SnapshotWriter tail;
+  tail.write_size(1000);
+  for (int i = 0; i < 2000; ++i) tail.write_pod<std::uint8_t>(0);
+  const auto tail_bytes = tail.take();
+  bytes.insert(bytes.end(), tail_bytes.begin(), tail_bytes.end());
+
+  C2Harness fresh(/*lateness=*/5);
+  SnapshotReader r(bytes);
+  try {
+    fresh.guard.restore_from(r);
+    FAIL() << "a 1000-tuple loop log over 2000 bytes decoded";
+  } catch (const SnapshotError& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("snapshot: count", 0), 0u)
+        << e.what();
+  }
 }
 
 // --- C3 guard (Listing 5) ---------------------------------------------

@@ -180,31 +180,6 @@ TEST(BackendEquivalence, FiveBackendsIdenticalUnderSeededReorder) {
   }
 }
 
-/// A bounded key cache must never change output — evictions drop caches,
-/// not window state.
-TEST(BackendEquivalence, BoundedKeyCachesDoNotChangeOutput) {
-  const WindowSpec spec{.advance = 4, .size = 12, .lateness = 6};
-  auto tuples = random_tuples(77, 250, -10);
-  const Timestamp flush = tuples.back().ts + 40;
-  auto script = reorder_script(std::move(tuples), 8, 6, flush, 77);
-
-  const Res reference = run_backend(script, [&](Flow& f) -> auto& {
-    return add_sum<Buffering>(f, spec);
-  });
-  const Res daba = run_backend(script, [&](Flow& f) -> auto& {
-    auto& op = add_sum<DabaMachine>(f, spec);
-    op.machine().policy().set_max_cached_keys(1);  // constant churn
-    return op;
-  });
-  const Res tree = run_backend(script, [&](Flow& f) -> auto& {
-    auto& op = add_sum<TreeMachine>(f, spec);
-    op.machine().policy().set_max_cached_keys(1);
-    return op;
-  });
-  EXPECT_EQ(daba.out, reference.out);
-  EXPECT_EQ(tree.out, reference.out);
-}
-
 /// Snapshot a run mid-stream, restore into a fresh graph, continue: the
 /// combined output must equal the uninterrupted run, for both new
 /// backends and across policy swaps (monoid → daba → tree).
@@ -272,29 +247,9 @@ TEST(BackendEquivalence, RestoredRunsMatchUninterrupted) {
   }
 }
 
-/// The snapshot knob: max_cached_keys survives the round trip (the
-/// machine writes it inside its own save()).
-TEST(BackendEquivalence, SnapshotPersistsKeyCacheBound) {
-  const WindowSpec spec{.advance = 2, .size = 6, .lateness = 0};
-  Flow a;
-  auto& agg = add_sum<DabaMachine>(a, spec);
-  agg.machine().policy().set_max_cached_keys(3);
-  SnapshotWriter w;
-  agg.snapshot_to(w);
-  const auto bytes = w.take();
-
-  Flow b;
-  auto& agg2 = add_sum<DabaMachine>(b, spec);
-  EXPECT_EQ(agg2.machine().policy().max_cached_keys(), 0u);
-  SnapshotReader r(bytes);
-  agg2.restore_from(r);
-  EXPECT_EQ(agg2.machine().policy().max_cached_keys(), 3u);
-}
-
 /// reset_diagnostics on the new backends clears the late probe, the
-/// high-water marks and the policy's own counters (cache evictions, peak
-/// cached keys, out-of-order fixups) — the PR-3 convention the registry
-/// relies on when it resets between runs.
+/// high-water marks and the policy's own counters (tree rebuilds) — the
+/// PR-3 convention the registry relies on when it resets between runs.
 TEST(BackendEquivalence, ResetDiagnosticsClearsPolicyAndLateCounters) {
   const WindowSpec spec{.advance = 2, .size = 6, .lateness = 2};
   auto drive = [&](auto& machine) {
@@ -302,7 +257,6 @@ TEST(BackendEquivalence, ResetDiagnosticsClearsPolicyAndLateCounters) {
     typename M::FireFn fire = [](Timestamp, const int&,
                                  const swa::WindowAggregate<long>&, bool) {};
     machine.set_late_probe([](const LateEvent&) {});  // observed() counts
-    machine.policy().set_max_cached_keys(1);
     Timestamp w = kMinTimestamp;
     for (int i = 0; i < 60; ++i) {
       machine.add(Tuple<int>{static_cast<Timestamp>(i), 0, i}, w, fire);
@@ -323,22 +277,17 @@ TEST(BackendEquivalence, ResetDiagnosticsClearsPolicyAndLateCounters) {
   drive(daba);
   EXPECT_GT(daba.late_probe().observed(), 0u);
   EXPECT_GT(daba.peak_occupancy(), 0u);
-  EXPECT_GT(daba.policy().cache_evictions(), 0u);
   daba.reset_diagnostics();
   EXPECT_EQ(daba.late_probe().observed(), 0u);
   EXPECT_EQ(daba.peak_occupancy(), daba.occupancy());
-  EXPECT_EQ(daba.policy().cache_evictions(), 0u);
-  EXPECT_EQ(daba.policy().peak_cached_keys(), daba.policy().cached_keys());
 
   TreeMachine tree(spec, key_of, long_sum());
   drive(tree);
   EXPECT_GT(tree.late_probe().observed(), 0u);
-  EXPECT_GT(tree.policy().cache_evictions(), 0u);
   EXPECT_GT(tree.policy().rebuilds(), 0u);
   tree.reset_diagnostics();
   EXPECT_EQ(tree.late_probe().observed(), 0u);
   EXPECT_EQ(tree.peak_occupancy(), tree.occupancy());
-  EXPECT_EQ(tree.policy().cache_evictions(), 0u);
   EXPECT_EQ(tree.policy().rebuilds(), 0u);
 }
 

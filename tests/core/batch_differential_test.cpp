@@ -4,8 +4,8 @@
 // FIFO policies (two-stacks and DABA Lite), across randomized schedules
 // with reorder, admitted-late re-fires, dropped-late tuples, watermark
 // interleaves and random block splits. Diagnostics (occupancy, peaks,
-// dropped_late, late_updates, fired_instances, shed/admitted counts) must
-// be counter-identical too. Aggregates are compared as raw bit patterns,
+// dropped_late, late_updates, fired_instances) must be counter-identical
+// too. Aggregates are compared as raw bit patterns,
 // so a -0.0/+0.0 or reassociation drift in a double sum fails the suite.
 //
 // Also pins the kernel legality story (satellite checks): the
@@ -18,12 +18,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <optional>
 #include <random>
 #include <tuple>
 #include <vector>
 
-#include "core/runtime/overload.hpp"
 #include "core/swa/batch_kernels.hpp"
 #include "core/swa/daba.hpp"
 #include "core/swa/agg_tree.hpp"
@@ -64,8 +62,6 @@ struct Diag {
   std::uint64_t occupancy{0};
   std::uint64_t peak_occupancy{0};
   std::uint64_t peak_panes{0};
-  std::uint64_t shed{0};
-  std::uint64_t admitted{0};
 
   bool operator==(const Diag&) const = default;
 };
@@ -125,31 +121,17 @@ std::vector<Ev<In>> random_script(unsigned seed, int n, const WindowSpec& spec) 
   return script;
 }
 
-ShedConfig shed_cfg(unsigned seed) {
-  ShedConfig cfg;
-  cfg.policy = ShedPolicy::kRandomP;
-  cfg.p_pressured = 0.25;
-  cfg.seed = seed;
-  return cfg;
-}
-
 /// Runs `script` through one engine. `block_rng_seed == 0` takes the
 /// per-tuple scalar path (the oracle); otherwise tuple runs between
 /// watermarks are fed through add_block in random-sized sub-blocks
 /// spanning 1 .. past both the kernel chunk (256) and the channel block.
 template <typename Policy, typename In, typename Agg>
 RunOut run_engine(const Monoid<In, Agg>& m, const std::vector<Ev<In>>& script,
-                  const WindowSpec& spec, int n_keys, unsigned block_rng_seed,
-                  const Shedder* shed_template = nullptr,
-                  const OverloadMonitor* monitor = nullptr) {
+                  const WindowSpec& spec, int n_keys,
+                  unsigned block_rng_seed) {
   swa::SlicedEngine<In, int, Policy> eng(
       spec, [n_keys](const In& v) { return static_cast<int>(v) % n_keys; },
       Policy(m));
-  std::optional<Shedder> shedder;
-  if (shed_template != nullptr) {
-    shedder.emplace(shed_template->config(), monitor);
-    eng.set_shedder(&*shedder);
-  }
   RunOut out;
   auto fire = [&](Timestamp l, const int& key,
                   const swa::WindowAggregate<Agg>& r, bool update) {
@@ -185,9 +167,7 @@ RunOut run_engine(const Monoid<In, Agg>& m, const std::vector<Ev<In>>& script,
               eng.fired_instances(),
               eng.occupancy(),
               eng.peak_occupancy(),
-              eng.peak_panes(),
-              shedder ? shedder->shed() : 0,
-              shedder ? shedder->admitted() : 0};
+              eng.peak_panes()};
   eng.flush(fire);
   return out;
 }
@@ -203,8 +183,7 @@ void canonicalize(std::vector<FireRec>& v) {
 }
 
 template <typename In, typename Agg>
-void check_both_policies(const Monoid<In, Agg>& m, const char* what,
-                         bool with_shedder) {
+void check_both_policies(const Monoid<In, Agg>& m, const char* what) {
   using TwoStacksP = swa::MonoidPolicy<In, Agg, int>;
   using DabaP = swa::DabaPolicy<In, Agg, int>;
   const std::vector<WindowSpec> specs = {
@@ -212,25 +191,16 @@ void check_both_policies(const Monoid<In, Agg>& m, const char* what,
       {.advance = 5, .size = 5, .lateness = 3},
       {.advance = 3, .size = 17, .lateness = 8},
   };
-  // A monitor pinned at kPressured so RandomP shedders actually shed with
-  // their seeded deterministic stream (no live flow needed).
-  OverloadMonitor monitor(OverloadThresholds{.pressured_occupancy = 0.0,
-                                             .overloaded_occupancy = 2.0});
-  monitor.observe({}, 0, kMinTimestamp);
   for (std::size_t si = 0; si < specs.size(); ++si) {
     for (unsigned seed : {11u, 22u, 33u}) {
       for (int n_keys : {1, 3}) {
         auto script = random_script<In>(seed + static_cast<unsigned>(si) * 97,
                                         900, specs[si]);
-        std::optional<Shedder> tmpl;
-        if (with_shedder) tmpl.emplace(shed_cfg(seed), &monitor);
-        const Shedder* st = tmpl ? &*tmpl : nullptr;
-        const OverloadMonitor* mon = tmpl ? &monitor : nullptr;
 
         RunOut scalar = run_engine<TwoStacksP>(m, script, specs[si], n_keys,
-                                               /*block_rng_seed=*/0, st, mon);
+                                               /*block_rng_seed=*/0);
         RunOut batch = run_engine<TwoStacksP>(m, script, specs[si], n_keys,
-                                              seed + 1, st, mon);
+                                              seed + 1);
         ASSERT_GT(scalar.fires.size(), 0u) << what;
         canonicalize(scalar.fires);
         canonicalize(batch.fires);
@@ -247,9 +217,9 @@ void check_both_policies(const Monoid<In, Agg>& m, const char* what,
         // that — but an untagged non-associative combine may associate
         // differently across FIFO structures, so it is not asserted here.)
         RunOut daba_oracle = run_engine<DabaP>(m, script, specs[si], n_keys,
-                                               /*block_rng_seed=*/0, st, mon);
+                                               /*block_rng_seed=*/0);
         RunOut daba = run_engine<DabaP>(m, script, specs[si], n_keys,
-                                        seed + 2, st, mon);
+                                        seed + 2);
         canonicalize(daba_oracle.fires);
         canonicalize(daba.fires);
         EXPECT_EQ(daba.fires, daba_oracle.fires)
@@ -263,29 +233,28 @@ void check_both_policies(const Monoid<In, Agg>& m, const char* what,
 }
 
 TEST(BatchDifferential, SumInt64) {
-  check_both_policies(swa::sum_monoid<long long>(), "sum<i64>", false);
+  check_both_policies(swa::sum_monoid<long long>(), "sum<i64>");
 }
 
 TEST(BatchDifferential, SumDoubleBitExact) {
-  check_both_policies(swa::sum_monoid<double>(), "sum<f64>", false);
+  check_both_policies(swa::sum_monoid<double>(), "sum<f64>");
 }
 
 TEST(BatchDifferential, MinInt64) {
-  check_both_policies(swa::min_monoid<long long>(1 << 30), "min<i64>", false);
+  check_both_policies(swa::min_monoid<long long>(1 << 30), "min<i64>");
 }
 
 TEST(BatchDifferential, MaxInt64) {
-  check_both_policies(swa::max_monoid<long long>(-(1 << 30)), "max<i64>",
-                      false);
+  check_both_policies(swa::max_monoid<long long>(-(1 << 30)), "max<i64>");
 }
 
 TEST(BatchDifferential, MinMaxDoubleBitExact) {
-  check_both_policies(swa::min_monoid<double>(1e30), "min<f64>", false);
-  check_both_policies(swa::max_monoid<double>(-1e30), "max<f64>", false);
+  check_both_policies(swa::min_monoid<double>(1e30), "min<f64>");
+  check_both_policies(swa::max_monoid<double>(-1e30), "max<f64>");
 }
 
 TEST(BatchDifferential, CountOverInt) {
-  check_both_policies(swa::count_monoid<int>(), "count", false);
+  check_both_policies(swa::count_monoid<int>(), "count");
 }
 
 TEST(BatchDifferential, UntaggedNonCommutativeMonoidStaysScalarAndMatches) {
@@ -301,15 +270,7 @@ TEST(BatchDifferential, UntaggedNonCommutativeMonoidStaysScalarAndMatches) {
       }};
   ASSERT_EQ(m.kind, MonoidKind::kGeneric);
   ASSERT_FALSE(m.commutative);
-  check_both_policies(m, "untagged", false);
-}
-
-TEST(BatchDifferential, ShedderDecisionStreamIdenticalUnderBatching) {
-  // Admission is consulted exactly once per tuple in arrival order on both
-  // paths, so the seeded shedder's decision stream — and therefore every
-  // shed/admitted counter and every output — is identical.
-  check_both_policies(swa::sum_monoid<long long>(), "sum<i64>+shed", true);
-  check_both_policies(swa::sum_monoid<double>(), "sum<f64>+shed", true);
+  check_both_policies(m, "untagged");
 }
 
 TEST(BatchKernels, FoldRunMatchesScalarFoldBitForBit) {

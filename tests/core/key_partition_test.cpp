@@ -291,6 +291,24 @@ TEST(KeySplitter, SnapshotV3RoundTripsRoutedAndLoggedCursors) {
   std::filesystem::remove_all(dir);
 }
 
+// A shard's cursor pair takes 16 bytes, so a shard count that fits at one
+// byte per shard but not at that width is refused before the cursors are
+// allocated.
+TEST(KeySplitter, ShardCountIsBoundedByCursorWidth) {
+  SnapshotWriter w;
+  w.write_pod<std::uint8_t>(3);  // the codec version
+  w.write_size(1000);
+  for (int i = 0; i < 2000; ++i) w.write_pod<std::uint8_t>(0);
+  const auto bytes = w.take();
+  try {
+    KeySplitter<int, int>::decode_logged(bytes, 0);
+    FAIL() << "a 1000-shard record over 2000 bytes decoded";
+  } catch (const SnapshotError& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("snapshot: count", 0), 0u)
+        << e.what();
+  }
+}
+
 TEST(KeySplitter, MalformedSnapshotsAreRejected) {
   const auto dir = std::filesystem::temp_directory_path() /
                    "aggspes_key_splitter_v3_malformed";

@@ -1,6 +1,6 @@
 // Overload-control unit suite (ctest label: overload): OverloadMonitor
 // classification, the four ShedPolicy semantics (deterministic per seed),
-// shedder hooks at RateSource / WindowMachine / SlicedEngine admission,
+// the RateSource shedder hook,
 // RateSource cutoff accounting, recovery backoff math, and the
 // degraded-mode prober's ladder logic. End-to-end behavior under injected
 // faults lives in tests/recovery/overload_chaos_test.cpp.
@@ -13,14 +13,12 @@
 #include <utility>
 #include <vector>
 
-#include "core/operators/window_machine.hpp"
 #include "core/recovery/supervisor.hpp"
 #include "core/runtime/measuring_sink.hpp"
 #include "core/runtime/overload.hpp"
 #include "core/runtime/rate_source.hpp"
 #include "core/runtime/threaded_runtime.hpp"
-#include "core/swa/agg_tree.hpp"
-#include "core/swa/sliced_machine.hpp"
+#include "core/swa/late_probe.hpp"
 #include "harness/sustainable.hpp"
 
 namespace aggspes {
@@ -182,54 +180,6 @@ TEST(Shedder, ConsultsAttachedMonitor) {
   EXPECT_FALSE(s.admit(1, 0));
   EXPECT_EQ(s.shed(), 1u);
   EXPECT_EQ(s.admitted(), 1u);
-}
-
-// --- Operator admission hooks --------------------------------------------
-
-TEST(WindowMachineShedding, ShedsAtAdmissionUnderOverload) {
-  OverloadMonitor m;
-  m.observe({{100, 100, 0, 100}}, 0, kMinTimestamp);  // overloaded
-  Shedder shed({.policy = ShedPolicy::kRandomP, .p_overloaded = 1.0}, &m);
-
-  WindowMachine<int, int> wm({.advance = 10, .size = 10}, [](int v) {
-    return v % 2;
-  });
-  wm.set_shedder(&shed);
-  int fired = 0;
-  const auto fire = [&](Timestamp, const int&, const TupleView<int>&,
-                        bool) { ++fired; };
-  for (int i = 0; i < 20; ++i) {
-    wm.add({i, 0, i}, kMinTimestamp, fire);
-  }
-  EXPECT_EQ(wm.shed(), 20u);
-  EXPECT_EQ(wm.open_instances(), 0u);
-  wm.advance(100, fire);
-  EXPECT_EQ(fired, 0);
-
-  // Without the shedder the same tuples land.
-  WindowMachine<int, int> base({.advance = 10, .size = 10}, [](int v) {
-    return v % 2;
-  });
-  for (int i = 0; i < 20; ++i) base.add({i, 0, i}, kMinTimestamp, fire);
-  EXPECT_GT(base.open_instances(), 0u);
-}
-
-TEST(SlicedEngineShedding, ShedsAtAdmissionUnderOverload) {
-  OverloadMonitor m;
-  m.observe({{100, 100, 0, 100}}, 0, kMinTimestamp);
-  Shedder shed({.policy = ShedPolicy::kRandomP, .p_overloaded = 1.0}, &m);
-
-  swa::SlicedWindowMachine<int, int> eng({.advance = 5, .size = 10},
-                                         [](int v) { return v % 2; });
-  eng.set_shedder(&shed);
-  int fired = 0;
-  const auto fire = [&](Timestamp, const int&, const TupleView<int>&,
-                        bool) { ++fired; };
-  for (int i = 0; i < 20; ++i) eng.add({i, 0, i}, kMinTimestamp, fire);
-  EXPECT_EQ(eng.shed(), 20u);
-  EXPECT_EQ(eng.open_panes(), 0u);
-  eng.advance(100, fire);
-  EXPECT_EQ(fired, 0);
 }
 
 // --- RateSource: shedding + cutoff accounting ----------------------------
@@ -494,41 +444,6 @@ TEST(ShedAccounting, SourceGatedShedderPopulatesTopKeys) {
   std::uint64_t sum = 0;
   for (const auto& [key, n] : shed.shed_by_key()) sum += n;
   EXPECT_EQ(sum, shed.shed());
-}
-
-TEST(ShedAccounting, PerQueryAttributionAccumulates) {
-  OverloadMonitor m;
-  Shedder shed({.policy = ShedPolicy::kRandomP}, &m);
-  shed.attribute_query(0, 2);
-  shed.attribute_query(2);
-  EXPECT_EQ(shed.shed_for_query(0), 2u);
-  EXPECT_EQ(shed.shed_for_query(1), 0u);
-  EXPECT_EQ(shed.shed_for_query(2), 1u);
-  EXPECT_EQ(shed.shed_by_query().size(), 2u);
-}
-
-TEST(ShedAccounting, MultiQueryEngineChargesDropsToCoveredQueriesOnly) {
-  // The pane engine makes ONE store-level drop decision per tuple and
-  // charges it only to queries whose instance set contains the tuple: a
-  // tuple in query 1's WA > WS sampling gap sheds nothing from query 1.
-  OverloadMonitor m;
-  m.observe({{100, 100, 0, 100}}, 0, kMinTimestamp);  // pinned overloaded
-  Shedder shed({.policy = ShedPolicy::kRandomP, .p_overloaded = 1.0}, &m);
-  swa::TreeWindowMachine<int, long, int> engine(
-      std::vector<WindowSpec>{{.advance = 1, .size = 5, .lateness = 0},
-                              {.advance = 10, .size = 2, .lateness = 0}},
-      [](const int& v) { return v; },
-      swa::Monoid<int, long>{0, [](const int& v) { return long{v}; },
-                             [](const long& a, const long& b) { return a + b; }});
-  engine.set_shedder(&shed);
-  const auto fire = [](int, Timestamp, const int&,
-                       const swa::WindowAggregate<long>&, bool) {};
-  engine.add(Tuple<int>{5, 0, 1}, kMinTimestamp, fire);   // gap for query 1
-  engine.add(Tuple<int>{11, 0, 1}, kMinTimestamp, fire);  // inside [10, 12)
-  EXPECT_EQ(shed.shed(), 2u);
-  EXPECT_EQ(engine.shed_for_query(0), 2u);
-  EXPECT_EQ(engine.shed_for_query(1), 1u);
-  EXPECT_EQ(engine.open_panes(), 0u) << "refused tuples must not store";
 }
 
 TEST(LateProbe, StampsConfiguredQueryOnSampledEvents) {

@@ -149,33 +149,5 @@ TEST(DabaLite, SnapshotRoundTripsAndPortsToTwoStacks) {
   EXPECT_EQ(daba3.query_or("", cat), expect);
 }
 
-TEST(KeyCacheLru, EvictsLeastRecentlyTouchedBeyondBound) {
-  KeyCacheLru<int, int> lru;
-  lru.set_max(2);
-  lru.touch(1) = 10;
-  lru.touch(2) = 20;
-  lru.touch(1) = 11;  // 1 is now most recent
-  lru.touch(3) = 30;  // evicts 2
-  EXPECT_EQ(lru.size(), 2u);
-  EXPECT_EQ(lru.evictions(), 1u);
-  EXPECT_EQ(lru.find(2), nullptr);
-  ASSERT_NE(lru.find(1), nullptr);
-  EXPECT_EQ(*lru.find(1), 11);
-  ASSERT_NE(lru.find(3), nullptr);
-  // The high-water mark is taken after insert, before the evict that
-  // restores the bound — so it can exceed max by one.
-  EXPECT_EQ(lru.peak_size(), 3u);
-
-  lru.reset_diagnostics();
-  EXPECT_EQ(lru.evictions(), 0u);
-  EXPECT_EQ(lru.peak_size(), lru.size());
-
-  // max = 0 means unbounded.
-  KeyCacheLru<int, int> unbounded;
-  for (int i = 0; i < 100; ++i) unbounded.touch(i) = i;
-  EXPECT_EQ(unbounded.size(), 100u);
-  EXPECT_EQ(unbounded.evictions(), 0u);
-}
-
 }  // namespace
 }  // namespace aggspes::swa

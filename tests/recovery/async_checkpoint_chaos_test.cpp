@@ -532,8 +532,7 @@ std::vector<Element<int>> marked_script(const std::vector<Tuple<int>>& in,
 
 /// Every cut the op `add` builds records over `script`, with an executor
 /// bound when `async`; `freezes` receives the epochs the machine froze (0
-/// for machines that cannot freeze). Monoid machines run with a cache
-/// bound of 3 so the knob is part of the bytes.
+/// for machines that cannot freeze).
 template <typename AddOp>
 CutLog record_cuts(const std::vector<Element<int>>& script, bool async,
                    std::uint64_t* freezes, AddOp add) {
@@ -544,9 +543,6 @@ CutLog record_cuts(const std::vector<Element<int>>& script, bool async,
   flow.connect(src.out(), agg.in());
   flow.connect(agg.out(), sink.in());
   using M = machine_matrix::MachineOf<decltype(agg)>;
-  if constexpr (machine_matrix::kFoldsMonoid<M>) {
-    agg.machine().policy().set_max_cached_keys(3);
-  }
   CutLog log;
   InlineExecutor exec;
   agg.bind_recovery(&log, 1);
@@ -562,7 +558,7 @@ CutLog record_cuts(const std::vector<Element<int>>& script, bool async,
 /// With an executor bound, every cut of a machine that can freeze() goes
 /// through the frozen path and its bytes equal snapshot_to's; a machine
 /// that cannot freeze keeps the synchronous snapshot. Either way the
-/// last cut restores, cache bound included.
+/// last cut restores.
 template <typename AddOp>
 void expect_frozen_bytes_match(const std::string& what, AddOp add) {
   SCOPED_TRACE(what);
@@ -583,9 +579,6 @@ void expect_frozen_bytes_match(const std::string& what, AddOp add) {
 
   SnapshotReader r(async.cuts.rbegin()->second);
   agg.restore_from(r);
-  if constexpr (machine_matrix::kFoldsMonoid<M>) {
-    EXPECT_EQ(agg.machine().policy().max_cached_keys(), 3u);
-  }
 }
 
 TEST_F(AsyncCheckpointChaosTest, FrozenCutBytesEqualSyncCutsPerMachine) {

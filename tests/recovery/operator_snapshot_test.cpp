@@ -200,8 +200,8 @@ TEST(OperatorSnapshot, KeyByAllMachineRoundTripsAtEveryCut) {
   }
 }
 
-// Only codec v5 restores: the v4 byte (per-group keys) is refused, and so
-// is a v5 state saved by a window that keeps its keys.
+// Only codec v6 restores: the v4 byte (per-group keys) and the v5 byte
+// are refused, and so is a v6 state saved by a window that keeps its keys.
 TEST(OperatorSnapshot, KeyByAllStateRefusesOtherLayouts) {
   const auto script = by_all_script();
   const std::vector<Element<int>> prefix(script.begin(), script.begin() + 6);
@@ -217,14 +217,19 @@ TEST(OperatorSnapshot, KeyByAllStateRefusesOtherLayouts) {
   fresh.machine().save(machine);
   const std::size_t at = base.bytes().size() - machine.bytes().size() - 1;
   ASSERT_EQ(bytes[at], kAggregateCodecVersion);
-  ASSERT_EQ(kAggregateCodecVersion, 5);
+  ASSERT_EQ(kAggregateCodecVersion, 6);
 
-  auto v4 = bytes;
-  v4[at] = 4;
-  Flow a;
-  auto& agg_a = add_by_all_agg(a);
-  SnapshotReader r4(v4);
-  EXPECT_THROW(agg_a.restore_from(r4), SnapshotError);
+  // 4 wrote per-group keys in every buffering window; 5 is this layout
+  // under the byte that also carried the monoid key-cache bound.
+  for (std::uint8_t version : {4, 5}) {
+    auto old = bytes;
+    old[at] = version;
+    Flow a;
+    auto& agg_a = add_by_all_agg(a);
+    SnapshotReader r(old);
+    EXPECT_THROW(agg_a.restore_from(r), SnapshotError)
+        << "version " << int{version};
+  }
 
   Flow b;
   auto& keyed = b.add<ByAllAgg>(

@@ -221,8 +221,9 @@ TEST(SwaSnapshot, MonoidLateUpdateSpansCut) {
 // The shared Aggregate layout: [base][version][machine save]. A node with
 // a codec accepts only its own version byte: 0 (the no-codec byte), 1 (the
 // old has_state bool), 2 (the old monoid layout), 3 (the single-query
-// engine layout), 4 (per-group keys in every buffering window) and any
-// other byte raise SnapshotError.
+// engine layout), 4 (per-group keys in every buffering window), 5 (the
+// monoid key-cache bound ahead of the panes) and any other byte raise
+// SnapshotError.
 TEST(SwaSnapshot, UnknownCodecVersionIsRejected) {
   const auto key = [](const int& v) { return v % 2; };
   machine_matrix::for_each_machine<long>([&]<typename M>(const char* name) {
@@ -238,7 +239,7 @@ TEST(SwaSnapshot, UnknownCodecVersionIsRejected) {
     const std::size_t at = bytes.size() - machine_w.bytes().size() - 1;
     ASSERT_EQ(bytes[at], kAggregateCodecVersion);
 
-    for (std::uint8_t version : {0, 1, 2, 3, 4, 255}) {
+    for (std::uint8_t version : {0, 1, 2, 3, 4, 5, 255}) {
       auto patched = bytes;
       patched[at] = version;
       Flow b;
@@ -248,6 +249,48 @@ TEST(SwaSnapshot, UnknownCodecVersionIsRejected) {
           << "version " << int{version};
     }
   });
+}
+
+// Codec 6: a monoid machine's save() starts with its panes. Each monoid
+// machine restores a 6 cut through restore_record and writes it back byte
+// for byte; a 5 cut — the version byte 5, then the 8-byte key-cache bound
+// in front of the panes — is refused.
+TEST(SwaSnapshot, MonoidMachinesRoundTripCodec6AndRefuseCodec5) {
+  const auto key = [](const int& v) { return v % 2; };
+  auto check = [&]<typename M>(const char* name) {
+    SCOPED_TRACE(name);
+    Flow a;
+    auto& agg = machine_matrix::add_sum<long, M>(a, kSpec, key);
+    agg.in(0).receive(Element<int>{Tuple<int>{2, 0, 5}});
+    agg.in(0).receive(Element<int>{Tuple<int>{5, 0, 3}});
+    a.drain();
+    SnapshotWriter w, machine_w;
+    agg.snapshot_to(w);
+    agg.machine().save(machine_w);
+    const auto bytes = w.take();
+    const std::size_t at = bytes.size() - machine_w.bytes().size() - 1;
+    ASSERT_EQ(bytes[at], 6);
+
+    Flow b;
+    auto& agg2 = machine_matrix::add_sum<long, M>(b, kSpec, key);
+    agg2.restore_record(bytes);
+    EXPECT_EQ(agg2.machine().occupancy(), 2u);
+    SnapshotWriter again;
+    agg2.snapshot_to(again);
+    EXPECT_EQ(again.take(), bytes);
+
+    auto v5 = bytes;
+    v5[at] = 5;
+    v5.insert(v5.begin() + static_cast<long>(at) + 1, sizeof(std::uint64_t),
+              std::uint8_t{0});  // the bound slot: 0 = unbounded
+    Flow c;
+    auto& agg3 = machine_matrix::add_sum<long, M>(c, kSpec, key);
+    EXPECT_THROW(agg3.restore_record(v5), SnapshotError);
+  };
+  check.template operator()<swa::MonoidWindowMachine<int, long, int>>(
+      "two-stacks");
+  check.template operator()<swa::DabaWindowMachine<int, long, int>>("daba");
+  check.template operator()<swa::TreeWindowMachine<int, long, int>>("tree");
 }
 
 // --- hostile cuts -----------------------------------------------------------
@@ -270,6 +313,24 @@ TEST(SwaSnapshot, ReplayCellWithInflatedEntryCountIsRejected) {
   const auto bytes = inflated_after({});
   SnapshotReader r(bytes);
   EXPECT_THROW(swa::ReplayPolicy<int>{}.load_cell(r), SnapshotError);
+}
+
+// A replay entry takes its seq and a tuple (8 + 16 bytes, then the
+// payload), so a count that fits at one byte per entry but not at that
+// width is refused at the count, before anything is reserved for it.
+TEST(SwaSnapshot, ReplayCellCountIsBoundedByEntryWidth) {
+  SnapshotWriter w;
+  w.write_size(1000);
+  for (int i = 0; i < 2000; ++i) w.write_pod<std::uint8_t>(0);
+  const auto bytes = w.take();
+  SnapshotReader r(bytes);
+  try {
+    swa::ReplayPolicy<int>{}.load_cell(r);
+    FAIL() << "a 1000-entry cell over 2000 bytes decoded";
+  } catch (const SnapshotError& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("snapshot: count", 0), 0u)
+        << e.what();
+  }
 }
 
 TEST(SwaSnapshot, SlicedEngineWithInflatedCountsIsRejected) {
@@ -353,8 +414,9 @@ TEST(SwaSnapshot, MultiQueryOpRejectsOtherVersionBytes) {
     op.restore_record(bytes);
     EXPECT_EQ(op.machine().occupancy(), 2u);
   }
-  // 0 is the no-codec byte, 1 the two-operator layout with its cache knob.
-  for (std::uint8_t version : {0, 1, 3, 255}) {
+  // 0 is the no-codec byte, 1 the two-operator layout with its cache knob,
+  // 2 the layout with the tree policy's key-cache bound.
+  for (std::uint8_t version : {0, 1, 2, 255}) {
     auto patched = bytes;
     patched[at] = version;
     Flow b;
