@@ -35,6 +35,8 @@ namespace aggspes {
 ///   S_E ──► C2Guard ──► A1 ──► C3Guard ──► A2 ──► S_O
 ///              ▲                   │
 ///              └──────(loop)───────┘
+///
+/// The four nodes form one node group (ThreadedFlow::group).
 template <typename T>
 class UnfoldX {
  public:
@@ -47,6 +49,10 @@ class UnfoldX {
         a1_(make_a1(flow, lateness)),
         c3_(flow.template add<C3Guard<T>>(/*max_step=*/lateness)),
         a2_(make_a2(flow)) {
+    // The four nodes are cheap next to the handoffs between them: one
+    // thread drives them all, so their edges, the loop included, never
+    // cross threads.
+    flow.group({&c2_, &a1_, &c3_, &a2_});
     flow.connect(c2_, c2_.out(), a1_, a1_.in(0));
     flow.connect(a1_, a1_.out(), c3_, c3_.in(0));
     flow.connect(c3_, c3_.out(), a2_, a2_.in(0));

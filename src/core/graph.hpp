@@ -361,6 +361,11 @@ class Flow {
     connect(from, to, kind);
   }
 
+  /// Node-group declaration, signature-compatible with ThreadedFlow (which
+  /// drives a group on one thread). This scheduler already runs every node
+  /// on one thread, so it ignores the declaration.
+  void group(const std::vector<NodeBase*>&) {}
+
   /// Nodes/edges added so far, in add()/connect() order — the same stable
   /// indices ThreadedFlow exposes, so builders (ShardedFlow) can record
   /// which index ranges belong to which shard on either runtime.

@@ -1,22 +1,27 @@
-// Thread-per-node physical runtime used by the benchmarks: every node of
-// the logical graph becomes one worker thread, every edge an SPSC channel.
-// Bounded channels give backpressure; loop channels are unbounded (and
-// mutex-guarded) so feedback can never deadlock the pipeline — this is our
-// equivalent of the paper's own loop-handling workaround for FLINK-2497.
+// Physical runtime used by the benchmarks: every node group of the logical
+// graph becomes one worker thread, every edge a channel. A node that no
+// composition groups is a group of one. Edges between threads are SPSC
+// channels; bounded ones give backpressure, loop channels are unbounded
+// (and mutex-guarded) so feedback can never deadlock the pipeline — this
+// is our equivalent of the paper's own loop-handling workaround for
+// FLINK-2497. Edges inside a group are unbounded queues that the group's
+// own thread writes and drains, without a lock.
 //
-// Lifecycle: a node thread pumps (sources generate here), then polls its
-// input channels round-robin. A node with outputs exits once it has pushed
-// EndOfStream downstream; a sink exits once all its inputs delivered
-// EndOfStream.
+// Lifecycle: a group's thread pumps each member (sources generate here),
+// then polls every live member's input channels round-robin. A member with
+// outputs is done once it has pushed EndOfStream downstream; a sink once
+// all its inputs delivered EndOfStream. The thread exits when every
+// member is done.
 //
 // Robustness layer (recovery subsystem):
 //  * A node whose handler throws no longer takes the process down: the
-//    runner records the failure, pushes a best-effort EndOfStream to the
-//    node's downstream peers so the healthy part of the graph drains, and
-//    run() rethrows the failure as a FlowError naming the node.
+//    runner records the failure under that node's own index, pushes a
+//    best-effort EndOfStream downstream of every live member of its group
+//    so the healthy part of the graph drains, and run() rethrows the
+//    failure as a FlowError naming the node.
 //  * Channels participate in aligned checkpointing: after delivering a
 //    CheckpointMarker a channel holds further deliveries until its
-//    consumer completes the barrier, so no post-barrier element is
+//    consumer node completes the barrier, so no post-barrier element is
 //    processed before the node's state is snapshotted.
 //  * Channels are the fault-injection surface: an installed FaultInjector
 //    can crash, stall, delay, drop or duplicate a specific delivery of a
@@ -26,11 +31,14 @@
 //    diagnostic instead of letting a wedged graph hang forever.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -124,11 +132,48 @@ class ThreadedFlow {
   Node& add(Args&&... args) {
     auto node = std::make_unique<Node>(std::forward<Args>(args)...);
     Node& ref = *node;
-    runners_.push_back(std::make_unique<Runner>(
-        std::move(node), runners_.size(),
+    members_.push_back(std::make_unique<Member>(
+        std::move(node), members_.size(),
         detail::demangle(typeid(Node).name())));
-    index_[&ref] = runners_.back().get();
+    Member* m = members_.back().get();
+    runners_.push_back(std::make_unique<Runner>());
+    m->runner = runners_.back().get();
+    m->runner->members.push_back(m);
+    index_[&ref] = m;
     return ref;
+  }
+
+  /// Declares a node group: one thread drives all of `nodes`, polling them
+  /// in the order given. An edge between two members becomes an unbounded
+  /// queue that thread writes and drains; every node keeps its add() index
+  /// and every edge its connect() index, gauges and faults. Call it before
+  /// any member is connected (an edge's transport is fixed at connect());
+  /// groups that share a node merge. run() rejects a group that a path
+  /// leaves and re-enters.
+  void group(const std::vector<NodeBase*>& nodes) {
+    if (nodes.empty()) return;
+    for (NodeBase* n : nodes) {
+      for (const Member* m : index_.at(n)->runner->members) {
+        if (m->has_outputs || !m->inputs.empty()) {
+          throw std::logic_error("ThreadedFlow::group: node " +
+                                 std::to_string(m->index) + " (" + m->name +
+                                 ") is already connected");
+        }
+      }
+    }
+    Runner* into = index_.at(nodes.front())->runner;
+    for (NodeBase* n : nodes) {
+      Runner* from = index_.at(n)->runner;
+      if (from == into) continue;
+      for (Member* m : from->members) {
+        m->runner = into;
+        into->members.push_back(m);
+      }
+      from->members.clear();
+    }
+    std::erase_if(runners_, [](const std::unique_ptr<Runner>& r) {
+      return r->members.empty();
+    });
   }
 
   /// Connects `from_node`'s outlet to `to_node`'s consumer port. Both nodes
@@ -137,8 +182,8 @@ class ThreadedFlow {
   void connect(NodeBase& from_node, Outlet<T>& from, NodeBase& to_node,
                Consumer<T>& to, EdgeKind kind = EdgeKind::kNormal,
                std::size_t capacity = kDefaultCapacity) {
-    Runner* producer = index_.at(&from_node);
-    Runner* consumer = index_.at(&to_node);
+    Member* producer = index_.at(&from_node);
+    Member* consumer = index_.at(&to_node);
     auto chan = std::make_unique<ThreadedChannel<T>>(
         this, to, kind, capacity, producer, consumer, channels_.size());
     from.subscribe(chan.get());
@@ -147,8 +192,10 @@ class ThreadedFlow {
     channels_.push_back(std::move(chan));
   }
 
-  std::size_t node_count() const { return runners_.size(); }
+  std::size_t node_count() const { return members_.size(); }
   std::size_t edge_count() const { return channels_.size(); }
+  /// Threads run() starts for the nodes: one per node group.
+  std::size_t thread_count() const { return runners_.size(); }
 
   /// Indexes (connect order) of the feedback-loop edges; what a chaos test
   /// needs to aim a fault at a loop without hardcoding wiring order.
@@ -164,9 +211,9 @@ class ThreadedFlow {
   /// across rebuilds of the same builder), and tells the store how many
   /// records make a checkpoint complete.
   void enable_checkpoints(CheckpointStore& store) {
-    store.set_expected_nodes(runners_.size());
-    for (std::size_t i = 0; i < runners_.size(); ++i) {
-      runners_[i]->node->bind_recovery(&store, i);
+    store.set_expected_nodes(members_.size());
+    for (std::size_t i = 0; i < members_.size(); ++i) {
+      members_[i]->node->bind_recovery(&store, i);
     }
   }
 
@@ -178,9 +225,9 @@ class ThreadedFlow {
   std::optional<std::uint64_t> restore_latest(const CheckpointStore& store) {
     const std::optional<std::uint64_t> id = store.latest_complete();
     if (!id) return std::nullopt;
-    for (std::size_t i = 0; i < runners_.size(); ++i) {
+    for (std::size_t i = 0; i < members_.size(); ++i) {
       if (std::optional<CheckpointStore::Bytes> bytes = store.find(i, *id)) {
-        runners_[i]->node->restore_record(*bytes);
+        members_[i]->node->restore_record(*bytes);
       }
     }
     return id;
@@ -197,8 +244,8 @@ class ThreadedFlow {
     for (auto& ch : channels_) ch->set_faults(&injector);
     // Node-side faults (durable-source append kinds) ride the same
     // injector; nodes without a fault surface inherit the no-op default.
-    for (std::size_t i = 0; i < runners_.size(); ++i) {
-      runners_[i]->node->arm_faults(&injector, i);
+    for (std::size_t i = 0; i < members_.size(); ++i) {
+      members_[i]->node->arm_faults(&injector, i);
     }
   }
 
@@ -210,7 +257,7 @@ class ThreadedFlow {
   void attach_async(SnapshotExecutor* executor) {
     executor_ = executor;
     if (executor != nullptr) executor->begin_attempt();
-    for (auto& r : runners_) r->node->bind_async(executor);
+    for (auto& m : members_) m->node->bind_async(executor);
   }
 
   /// Records a whole-flow failure (no single node to blame) and aborts the
@@ -264,11 +311,12 @@ class ThreadedFlow {
     return gauges;
   }
 
-  /// Runs every node on its own thread; returns when the whole graph
+  /// Runs every node group on its own thread; returns when the whole graph
   /// completed. Throws FlowError if a node failed or the watchdog tripped.
   void run() { run(RunOptions{}); }
 
   void run(RunOptions opts) {
+    check_groups();
     abort_.store(false, std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> lk(fail_mu_);
@@ -342,71 +390,108 @@ class ThreadedFlow {
     virtual std::size_t consumer_index() const = 0;
   };
 
-  struct Runner {
-    Runner(std::unique_ptr<NodeBase> n, std::size_t idx, std::string nm)
+  /// One node and what the runtime tracks for it. End and exit are per
+  /// node, not per thread: a group runs until every member is done.
+  struct Member {
+    Member(std::unique_ptr<NodeBase> n, std::size_t idx, std::string nm)
         : node(std::move(n)), index(idx), name(std::move(nm)) {}
-
-    void run(ThreadedFlow* flow) {
-      try {
-        node->pump();
-        for (;;) {
-          if (flow->abort_.load(std::memory_order_relaxed)) {
-            throw detail::FlowAborted{};
-          }
-          bool any = false;
-          bool all_ended = !inputs.empty();
-          for (ChannelBase* ch : inputs) {
-            any |= ch->deliver_one();
-            all_ended &= ch->delivered_end();
-          }
-          if (has_outputs) {
-            if (emitted_end.load(std::memory_order_acquire)) break;
-            // Source-only nodes (no inputs) that never emit End would spin
-            // forever; treat pump() completion without End as done.
-            if (inputs.empty() && !any) break;
-          } else if (all_ended) {
-            break;
-          }
-          if (!any) std::this_thread::yield();
-        }
-      } catch (const detail::FlowAborted&) {
-        // Watchdog teardown: exit quietly; every runner does the same.
-      } catch (const std::exception& ex) {
-        flow->record_failure(index, name, ex.what());
-        try {
-          node->fail_downstream();
-        } catch (...) {
-        }
-      } catch (...) {
-        flow->record_failure(index, name, "unknown exception");
-        try {
-          node->fail_downstream();
-        } catch (...) {
-        }
-      }
-      exited.store(true, std::memory_order_release);
-    }
 
     std::unique_ptr<NodeBase> node;
     std::size_t index;
     std::string name;
+    Runner* runner{nullptr};  ///< the thread that drives this node
     std::vector<ChannelBase*> inputs;
     bool has_outputs{false};
     std::atomic<bool> emitted_end{false};
     std::atomic<bool> exited{false};
   };
 
+  /// One thread driving one node group (a single node is a group of one).
+  struct Runner {
+    Runner() = default;
+    Runner(const Runner&) = delete;  // its thread holds its address
+    Runner& operator=(const Runner&) = delete;
+
+    void run(ThreadedFlow* flow) {
+      Member* at = members.front();  // the member whose code is running
+      try {
+        for (Member* m : members) {
+          at = m;
+          m->node->pump();
+        }
+        std::size_t live = members.size();
+        while (live > 0) {
+          if (flow->abort_.load(std::memory_order_relaxed)) {
+            throw detail::FlowAborted{};
+          }
+          bool any = false;
+          for (Member* m : members) {
+            if (m->exited.load(std::memory_order_relaxed)) continue;
+            at = m;
+            bool got = false;
+            bool all_ended = !m->inputs.empty();
+            for (ChannelBase* ch : m->inputs) {
+              got |= ch->deliver_one();
+              all_ended &= ch->delivered_end();
+            }
+            any |= got;
+            // A node with outputs is done once it pushed End; source-only
+            // nodes (no inputs) that never emit End would spin forever, so
+            // pump() completion without End counts too. A sink is done once
+            // every input delivered End.
+            const bool done =
+                m->has_outputs
+                    ? m->emitted_end.load(std::memory_order_acquire) ||
+                          (m->inputs.empty() && !got)
+                    : all_ended;
+            if (done) {
+              m->exited.store(true, std::memory_order_release);
+              --live;
+            }
+          }
+          if (!any) std::this_thread::yield();
+        }
+      } catch (const detail::FlowAborted&) {
+        // Watchdog teardown: exit quietly; every runner does the same.
+      } catch (const std::exception& ex) {
+        fail(flow, *at, ex.what());
+      } catch (...) {
+        fail(flow, *at, "unknown exception");
+      }
+      for (Member* m : members) {
+        m->exited.store(true, std::memory_order_release);
+      }
+    }
+
+    /// Records the failure under the failing node's own index, then lets
+    /// every member still running end its outputs.
+    void fail(ThreadedFlow* flow, const Member& failed,
+              const std::string& what) {
+      flow->record_failure(failed.index, failed.name, what);
+      for (Member* m : members) {
+        if (m->exited.load(std::memory_order_relaxed)) continue;
+        try {
+          m->node->fail_downstream();
+        } catch (...) {
+        }
+      }
+    }
+
+    std::vector<Member*> members;  ///< polled in this order
+  };
+
   template <typename T>
   class ThreadedChannel final : public Channel<T>, public ChannelBase {
    public:
     ThreadedChannel(ThreadedFlow* flow, Consumer<T>& target, EdgeKind kind,
-                    std::size_t capacity, Runner* producer, Runner* consumer,
+                    std::size_t capacity, Member* producer, Member* consumer,
                     std::size_t edge_id)
         : flow_(flow),
           target_(target),
           loop_(kind == EdgeKind::kLoop),
           lent_(kind == EdgeKind::kLent),
-          queue_(capacity),
+          local_(producer->runner == consumer->runner),
+          queue_(unbounded() ? 0 : capacity),  // unused when unbounded
           producer_(producer),
           consumer_(consumer),
           edge_id_(edge_id) {}
@@ -418,50 +503,10 @@ class ThreadedFlow {
       if (is_end(e)) {
         producer_->emitted_end.store(true, std::memory_order_release);
       }
-      if (loop_) {
-        if (flow_->abort_.load(std::memory_order_relaxed)) {
-          throw detail::FlowAborted{};
-        }
-        if (consumer_->exited.load(std::memory_order_acquire)) return;
-        std::lock_guard<std::mutex> lk(mu_);
-        overflow_.push_back(std::move(e));
-        if (overflow_.size() > high_water_.load(std::memory_order_relaxed)) {
-          high_water_.store(overflow_.size(), std::memory_order_relaxed);
-        }
+      if (unbounded()) {
+        push_unbounded([&] { deque_.push_back(std::move(e)); });
       } else {
-        if (!queue_.try_push(std::move(e))) {
-          // Blocked on a full queue: producer stall time is the overload
-          // monitor's most direct backpressure signal, so charge the whole
-          // wait (including aborted/abandoned ones) to stall_ns_.
-          const auto blocked_at = std::chrono::steady_clock::now();
-          const auto charge_stall = [&] {
-            stall_ns_.fetch_add(
-                static_cast<std::uint64_t>(
-                    std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - blocked_at)
-                        .count()),
-                std::memory_order_relaxed);
-          };
-          for (;;) {
-            if (flow_->abort_.load(std::memory_order_relaxed)) {
-              charge_stall();
-              throw detail::FlowAborted{};
-            }
-            // A dead consumer never drains its queue; dropping instead of
-            // blocking lets the producer finish and the graph wind down.
-            if (consumer_->exited.load(std::memory_order_acquire)) {
-              charge_stall();
-              return;
-            }
-            std::this_thread::yield();
-            if (queue_.try_push(std::move(e))) break;
-          }
-          charge_stall();
-        }
-        const std::size_t d = queue_.size();
-        if (d > high_water_.load(std::memory_order_relaxed)) {
-          high_water_.store(d, std::memory_order_relaxed);
-        }
+        push_bounded([&] { return queue_.try_push(std::move(e)); });
       }
     }
 
@@ -472,18 +517,12 @@ class ThreadedFlow {
     /// Blocks never carry EndOfStream, so no emitted_end bookkeeping.
     void push_block(const Tuple<T>* ts, std::size_t n) override {
       if (n == 0) return;
-      if (loop_) {
-        if (flow_->abort_.load(std::memory_order_relaxed)) {
-          throw detail::FlowAborted{};
-        }
-        if (consumer_->exited.load(std::memory_order_acquire)) return;
-        std::lock_guard<std::mutex> lk(mu_);
-        for (std::size_t i = 0; i < n; ++i) {
-          overflow_.push_back(Element<T>{ts[i]});
-        }
-        if (overflow_.size() > high_water_.load(std::memory_order_relaxed)) {
-          high_water_.store(overflow_.size(), std::memory_order_relaxed);
-        }
+      if (unbounded()) {
+        push_unbounded([&] {
+          for (std::size_t i = 0; i < n; ++i) {
+            deque_.push_back(Element<T>{ts[i]});
+          }
+        });
         return;
       }
       out_scratch_.clear();
@@ -491,35 +530,11 @@ class ThreadedFlow {
       for (std::size_t i = 0; i < n; ++i) {
         out_scratch_.push_back(Element<T>{ts[i]});
       }
-      std::size_t done = queue_.push_n(out_scratch_.data(), n);
-      if (done < n) {
-        const auto blocked_at = std::chrono::steady_clock::now();
-        const auto charge_stall = [&] {
-          stall_ns_.fetch_add(
-              static_cast<std::uint64_t>(
-                  std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::steady_clock::now() - blocked_at)
-                      .count()),
-              std::memory_order_relaxed);
-        };
-        while (done < n) {
-          if (flow_->abort_.load(std::memory_order_relaxed)) {
-            charge_stall();
-            throw detail::FlowAborted{};
-          }
-          if (consumer_->exited.load(std::memory_order_acquire)) {
-            charge_stall();
-            return;
-          }
-          std::this_thread::yield();
-          done += queue_.push_n(out_scratch_.data() + done, n - done);
-        }
-        charge_stall();
-      }
-      const std::size_t d = queue_.size();
-      if (d > high_water_.load(std::memory_order_relaxed)) {
-        high_water_.store(d, std::memory_order_relaxed);
-      }
+      std::size_t done = 0;
+      push_bounded([&] {
+        done += queue_.push_n(out_scratch_.data() + done, n - done);
+        return done == n;
+      });
     }
 
     bool loop() const override { return loop_; }
@@ -538,18 +553,23 @@ class ThreadedFlow {
         }
         held_.store(false, std::memory_order_relaxed);
       }
-      // Refill the consumer-side scratch. Loop edges stay per-element (the
-      // overflow deque is mutex-guarded and feedback traffic is sparse);
-      // regular edges drain up to one block per call with a single
-      // tail-store, which is where the hot path's atomics amortize.
+      // Refill the consumer-side scratch with up to one block: a bounded
+      // edge with a single tail-store, which is where the hot path's
+      // atomics amortize; an unbounded one under one lock (none inside a
+      // group).
       if (pend_at_ >= pending_.size()) {
         pend_at_ = 0;
         pending_.clear();
-        if (loop_) {
-          std::lock_guard<std::mutex> lk(mu_);
-          if (overflow_.empty()) return false;
-          pending_.push_back(std::move(overflow_.front()));
-          overflow_.pop_front();
+        if (unbounded()) {
+          std::unique_lock<std::mutex> lk(mu_, std::defer_lock);
+          if (!local_) lk.lock();
+          const std::size_t got =
+              std::min(deque_.size(), kElementBlockCapacity);
+          if (got == 0) return false;
+          const auto end = deque_.begin() + static_cast<std::ptrdiff_t>(got);
+          std::move(deque_.begin(), end, std::back_inserter(pending_));
+          deque_.erase(deque_.begin(), end);
+          unbounded_depth_.store(deque_.size(), std::memory_order_relaxed);
         } else {
           pending_.resize(kElementBlockCapacity);
           const std::size_t got =
@@ -560,12 +580,13 @@ class ThreadedFlow {
       }
       // Deliver the scratch: contiguous tuple runs go through the block
       // path when no faults are armed (fault injection is strictly
-      // per-delivery); control elements, singleton runs, and fault-armed
-      // channels take the per-element path unchanged. A marker that the
-      // consumer does not immediately complete holds the channel with the
-      // post-marker remainder still staged here — alignment semantics are
-      // identical to per-element delivery because a run never spans a
-      // marker.
+      // per-delivery); control elements, singleton runs, loop edges (a
+      // loop port is per-element: feedback interleaves with the
+      // Chandy-Lamport recording) and fault-armed channels take the
+      // per-element path unchanged. A marker that the consumer does not
+      // immediately complete holds the channel with the post-marker
+      // remainder still staged here — alignment semantics are identical
+      // to per-element delivery because a run never spans a marker.
       bool delivered = false;
       while (pend_at_ < pending_.size()) {
         if (held_.load(std::memory_order_relaxed)) {
@@ -574,7 +595,7 @@ class ThreadedFlow {
           }
           held_.store(false, std::memory_order_relaxed);
         }
-        if (faults_ == nullptr && is_tuple(pending_[pend_at_])) {
+        if (faults_ == nullptr && !loop_ && is_tuple(pending_[pend_at_])) {
           std::size_t run_end = pend_at_ + 1;
           while (run_end < pending_.size() && is_tuple(pending_[run_end])) {
             ++run_end;
@@ -621,14 +642,11 @@ class ThreadedFlow {
     }
 
     std::size_t depth() override {
-      if (loop_) {
-        std::lock_guard<std::mutex> lk(mu_);
-        return overflow_.size();
-      }
-      return queue_.size();
+      return unbounded() ? unbounded_depth_.load(std::memory_order_relaxed)
+                         : queue_.size();
     }
     std::size_t capacity() const override {
-      return loop_ ? 0 : queue_.capacity();
+      return unbounded() ? 0 : queue_.capacity();
     }
     std::uint64_t stall_ns() const override {
       return stall_ns_.load(std::memory_order_relaxed);
@@ -646,6 +664,67 @@ class ThreadedFlow {
     std::size_t consumer_index() const override { return consumer_->index; }
 
    private:
+    /// A loop edge and an edge inside a node group never block their
+    /// producer: both append to deque_.
+    bool unbounded() const { return loop_ || local_; }
+
+    void note_depth(std::size_t d) {
+      if (d > high_water_.load(std::memory_order_relaxed)) {
+        high_water_.store(d, std::memory_order_relaxed);
+      }
+    }
+
+    /// Runs `append` on deque_, unless the flow aborted (throws) or the
+    /// consumer exited (drops). Only a loop edge between two threads takes
+    /// the lock: an edge inside a group has one thread at both ends.
+    template <typename Append>
+    void push_unbounded(Append append) {
+      if (flow_->abort_.load(std::memory_order_relaxed)) {
+        throw detail::FlowAborted{};
+      }
+      if (consumer_->exited.load(std::memory_order_acquire)) return;
+      std::unique_lock<std::mutex> lk(mu_, std::defer_lock);
+      if (!local_) lk.lock();
+      append();
+      unbounded_depth_.store(deque_.size(), std::memory_order_relaxed);
+      note_depth(deque_.size());
+    }
+
+    /// Retries `attempt` until it reports the push complete. Blocked on a
+    /// full queue, the producer yields, and gives up when the flow aborts
+    /// (throws) or the consumer exited (drops: a dead consumer never
+    /// drains, so the producer can finish and the graph wind down). The
+    /// whole wait, abandoned ones included, is charged to stall_ns_: it is
+    /// the overload monitor's most direct backpressure signal.
+    template <typename Attempt>
+    void push_bounded(Attempt attempt) {
+      if (!attempt()) {
+        const auto blocked_at = std::chrono::steady_clock::now();
+        const auto charge_stall = [&] {
+          stall_ns_.fetch_add(
+              static_cast<std::uint64_t>(
+                  std::chrono::duration_cast<std::chrono::nanoseconds>(
+                      std::chrono::steady_clock::now() - blocked_at)
+                      .count()),
+              std::memory_order_relaxed);
+        };
+        for (;;) {
+          if (flow_->abort_.load(std::memory_order_relaxed)) {
+            charge_stall();
+            throw detail::FlowAborted{};
+          }
+          if (consumer_->exited.load(std::memory_order_acquire)) {
+            charge_stall();
+            return;
+          }
+          std::this_thread::yield();
+          if (attempt()) break;
+        }
+        charge_stall();
+      }
+      note_depth(queue_.size());
+    }
+
     /// Runs in the consumer thread, between pop and receive. Crash-style
     /// faults throw CrashInjected, which the runner records as this node's
     /// failure.
@@ -687,8 +766,10 @@ class ThreadedFlow {
           return;
         case FaultKind::kSaturate:
           // Park until the input queue is full (or param_ms elapses): an
-          // immediate high-water spike without per-delivery pacing.
-          if (!loop_) {
+          // immediate high-water spike without per-delivery pacing. An
+          // unbounded edge never fills, and inside a group only this
+          // thread could fill it: no wait.
+          if (!unbounded()) {
             const auto deadline =
                 std::chrono::steady_clock::now() +
                 std::chrono::milliseconds(ev->param_ms);
@@ -714,12 +795,14 @@ class ThreadedFlow {
     ThreadedFlow* flow_;
     Consumer<T>& target_;
     bool loop_;
-    bool lent_;  ///< runs reach the consumer read-only (EdgeKind::kLent)
+    bool lent_;   ///< runs reach the consumer read-only (EdgeKind::kLent)
+    bool local_;  ///< both ends in one node group
     SpscQueue<Element<T>> queue_;
-    std::mutex mu_;
-    std::deque<Element<T>> overflow_;
-    Runner* producer_;
-    Runner* consumer_;
+    std::mutex mu_;  ///< guards deque_ on a loop edge between threads
+    std::deque<Element<T>> deque_;
+    std::atomic<std::size_t> unbounded_depth_{0};  ///< deque_.size()
+    Member* producer_;
+    Member* consumer_;
     std::size_t edge_id_;
     FaultInjector* faults_{nullptr};
     std::atomic<bool> ended_{false};
@@ -749,6 +832,39 @@ class ThreadedFlow {
     return !failures_.empty();
   }
 
+  /// A path that leaves a group and comes back into it could deadlock:
+  /// a member blocked on a full edge out of the group would wait for its
+  /// own thread to drain the way back in.
+  void check_groups() const {
+    std::vector<std::vector<std::size_t>> out(members_.size());
+    for (const auto& ch : channels_) {
+      out[ch->producer_index()].push_back(ch->consumer_index());
+    }
+    for (const auto& r : runners_) {
+      if (r->members.size() < 2) continue;
+      std::vector<bool> seen(members_.size(), false);
+      std::vector<std::size_t> todo;
+      for (const Member* m : r->members) {
+        for (std::size_t c : out[m->index]) {
+          if (members_[c]->runner != r.get()) todo.push_back(c);
+        }
+      }
+      while (!todo.empty()) {
+        const std::size_t n = todo.back();
+        todo.pop_back();
+        if (members_[n]->runner == r.get()) {
+          throw std::logic_error(
+              "ThreadedFlow: a path leaves the group of node " +
+              std::to_string(r->members.front()->index) +
+              " and re-enters it at node " + std::to_string(n));
+        }
+        if (seen[n]) continue;
+        seen[n] = true;
+        for (std::size_t c : out[n]) todo.push_back(c);
+      }
+    }
+  }
+
   std::uint64_t total_deliveries() const {
     std::uint64_t n = 0;
     for (const auto& ch : channels_) n += ch->delivered_count();
@@ -760,12 +876,16 @@ class ThreadedFlow {
   std::string diagnostic() {
     std::ostringstream os;
     os << "nodes:\n";
-    for (const auto& r : runners_) {
-      os << "  [" << r->index << "] " << r->name
-         << " watermark=" << r->node->node_watermark()
-         << " barriers=" << r->node->completed_barriers()
-         << (r->exited.load(std::memory_order_acquire) ? " exited" : "")
-         << (r->emitted_end.load(std::memory_order_acquire) ? " ended" : "")
+    for (const auto& m : members_) {
+      os << "  [" << m->index << "] " << m->name
+         << " watermark=" << m->node->node_watermark()
+         << " barriers=" << m->node->completed_barriers();
+      // A grouped node names its group by the group's first node.
+      if (m->runner->members.size() > 1) {
+        os << " group=" << m->runner->members.front()->index;
+      }
+      os << (m->exited.load(std::memory_order_acquire) ? " exited" : "")
+         << (m->emitted_end.load(std::memory_order_acquire) ? " ended" : "")
          << "\n";
     }
     os << "edges:\n";
@@ -787,11 +907,11 @@ class ThreadedFlow {
     if (monitor_ == nullptr && scopes_.empty()) return;
     Timestamp frontier = kMinTimestamp;
     Timestamp laggard = kMinTimestamp;
-    for (const auto& r : runners_) {
-      const Timestamp w = r->node->node_watermark();
+    for (const auto& m : members_) {
+      const Timestamp w = m->node->node_watermark();
       if (w == kMinTimestamp) continue;
       if (w > frontier) frontier = w;
-      if (!r->inputs.empty() && (laggard == kMinTimestamp || w < laggard)) {
+      if (!m->inputs.empty() && (laggard == kMinTimestamp || w < laggard)) {
         laggard = w;
       }
     }
@@ -811,9 +931,9 @@ class ThreadedFlow {
       // shard shows the full distance it trails, not just internal spread.
       Timestamp scope_laggard = kMinTimestamp;
       for (std::size_t n : scope.nodes) {
-        const Runner& r = *runners_[n];
-        const Timestamp w = r.node->node_watermark();
-        if (w == kMinTimestamp || r.inputs.empty()) continue;
+        const Member& m = *members_[n];
+        const Timestamp w = m.node->node_watermark();
+        if (w == kMinTimestamp || m.inputs.empty()) continue;
         if (scope_laggard == kMinTimestamp || w < scope_laggard) {
           scope_laggard = w;
         }
@@ -868,9 +988,10 @@ class ThreadedFlow {
     }
   }
 
-  std::vector<std::unique_ptr<Runner>> runners_;
+  std::vector<std::unique_ptr<Member>> members_;  ///< add() order
+  std::vector<std::unique_ptr<Runner>> runners_;  ///< one per node group
   std::vector<std::unique_ptr<ChannelBase>> channels_;
-  std::unordered_map<const NodeBase*, Runner*> index_;
+  std::unordered_map<const NodeBase*, Member*> index_;
 
   std::atomic<bool> abort_{false};
   SnapshotExecutor* executor_{nullptr};

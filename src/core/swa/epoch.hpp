@@ -22,7 +22,7 @@
 // crash matrix can kill deterministically.
 //
 // Single-mutator contract: all mutations of one CowPaneMap happen on its
-// owning node's thread (the runtime's thread-per-node discipline), while
+// owning node's thread (the runtime drives each node from one thread), while
 // frozen copies may be read — and released — from the async checkpoint
 // worker or a query thread. The clone decision is a per-slot *shared*
 // bit, set by freeze() and cleared by the clone: the live map never
