@@ -37,6 +37,7 @@
 #include "core/recovery/input_log.hpp"
 #include "core/recovery/replay_source.hpp"
 #include "core/runtime/spsc_queue.hpp"
+#include "core/runtime/threaded_runtime.hpp"
 #include "core/swa/batch_kernels.hpp"
 #include "core/swa/daba.hpp"
 #include "core/swa/monoid_machine.hpp"

@@ -19,6 +19,7 @@
 #include "aggbased/custom_state.hpp"
 #include "core/operators/sink.hpp"
 #include "core/operators/source.hpp"
+#include "core/runtime/threaded_runtime.hpp"
 
 using namespace aggspes;
 

@@ -18,6 +18,7 @@
 #include "core/hashing.hpp"
 #include "core/operators/sink.hpp"
 #include "core/operators/source.hpp"
+#include "core/runtime/threaded_runtime.hpp"
 
 using namespace aggspes;
 

@@ -9,6 +9,7 @@
 
 #include "aggbased/flatmap.hpp"
 #include "core/operators/io.hpp"
+#include "core/runtime/threaded_runtime.hpp"
 #include "workloads/codecs.hpp"
 
 using namespace aggspes;

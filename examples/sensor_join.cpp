@@ -20,6 +20,7 @@
 #include "core/operators/join_buffering.hpp"
 #include "core/operators/sink.hpp"
 #include "core/operators/source.hpp"
+#include "core/runtime/threaded_runtime.hpp"
 #include "core/swa/sliced_machine.hpp"
 #include "workloads/scans.hpp"
 

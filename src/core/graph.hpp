@@ -1,5 +1,11 @@
-// Dataflow graph plumbing: typed consumers, outlets, channels, and the
-// deterministic single-threaded scheduler used by tests and examples.
+// Dataflow graph plumbing: typed consumers, outlets, channels and the node
+// base class. The runtimes that drive a graph, Flow (deterministic, on the
+// caller's thread) and ThreadedFlow, are in core/runtime/threaded_runtime.hpp.
+// Both poll a group's nodes in add() order and each node's inputs in
+// connect() order, up to one block per edge per pass (Flow: edges connected
+// without their nodes last). An output depends on that order only where
+// the interleaving of inputs decides lateness or which watermark is the
+// minimum; two tests pin it on purpose (DESIGN.md § 16, "One scheduler").
 //
 // Model properties from the paper (§ 3) are enforced here:
 //   P1 — physical streams with the same type can feed the same operator:
@@ -13,13 +19,10 @@
 #pragma once
 
 #include <atomic>
-#include <cassert>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <memory>
 #include <optional>
-#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -94,23 +97,17 @@ class Port final : public Consumer<T> {
   TakeHandler take_handler_;
 };
 
-/// Transport edge between an outlet and a consumer. Concrete channels are
-/// provided by the runtimes (queued single-threaded, SPSC threaded).
-/// push takes the element over; a caller that keeps its element passes a
-/// copy.
+/// Transport edge between an outlet and a consumer; the runtimes' one
+/// implementation (threaded_runtime.hpp) queues what is pushed until the
+/// consumer's group polls it. push takes the element over; a caller that
+/// keeps its element passes a copy. push_block enqueues a tuple run.
 template <typename T>
 class Channel {
  public:
   virtual ~Channel() = default;
   virtual void push(Element<T>&& e) = 0;
+  virtual void push_block(const Tuple<T>* ts, std::size_t n) = 0;
   virtual bool loop() const = 0;
-
-  /// Bulk push of a contiguous tuple run. Runtimes with a bulk transport
-  /// (ThreadedChannel::push_n) override; the default degrades to n pushes
-  /// so the single-threaded scheduler needs no changes.
-  virtual void push_block(const Tuple<T>* ts, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) push(Element<T>{ts[i]});
-  }
 };
 
 /// Producing side of a stream: fans out to all subscribed channels (P2),
@@ -152,8 +149,6 @@ class Outlet {
   void push_watermark(Timestamp ts) { push(Element<T>{Watermark{ts}}); }
   void push_end() { push(Element<T>{EndOfStream{}}); }
 
-  std::size_t fan_out() const { return channels_.size(); }
-
  private:
   std::vector<Channel<T>*> channels_;
 };
@@ -171,7 +166,7 @@ class NodeBase {
   /// Serializes this node's recoverable state. Stateless nodes write
   /// nothing; stateful operators override.
   virtual void snapshot_to(SnapshotWriter&) const {}
-  /// Restores state produced by snapshot_to. Called before threads start.
+  /// Restores state produced by snapshot_to. Called before run().
   virtual void restore_from(SnapshotReader&) {}
 
   /// Restores from one checkpoint record, which restore_from must read to
@@ -194,7 +189,7 @@ class NodeBase {
   /// this node fails or aborts so the rest of the graph can drain.
   virtual void fail_downstream() {}
 
-  /// Node-side fault arming: ThreadedFlow::install_faults hands every node
+  /// Node-side fault arming: the runtime's install_faults hands every node
   /// the injector and its add()-order index. Channels cover the delivery
   /// path; the base keeps the injector so barrier completion can consult
   /// the checkpoint kill matrix (freeze phase). Nodes with their own fault
@@ -205,7 +200,7 @@ class NodeBase {
   }
 
   /// Binds this node to a checkpoint recorder under a stable index
-  /// (ThreadedFlow add() order, reproducible across rebuilds).
+  /// (the runtime's add() order, reproducible across rebuilds).
   void bind_recovery(CheckpointRecorder* recorder, std::size_t index) {
     recorder_ = recorder;
     node_index_ = index;
@@ -308,138 +303,7 @@ class NodeBase {
 /// ThreadedFlow a normal edge hands each drained tuple run over to the
 /// consumer (Consumer::take_block); a lent edge only lends it
 /// (receive_block), so whatever the consumer keeps it copies, allocated on
-/// its own thread. The single-threaded Flow delivers per element either
-/// way.
+/// its own thread. Flow delivers per element either way.
 enum class EdgeKind { kNormal, kLoop, kLent };
-
-namespace detail {
-
-/// Type-erased view of a queued channel, so the scheduler can drain
-/// heterogeneous edges.
-class QueuedChannelBase {
- public:
-  virtual ~QueuedChannelBase() = default;
-  /// Delivers the front element to the consumer. Pre: !empty().
-  virtual void deliver_one() = 0;
-  virtual bool empty() const = 0;
-
-  bool scheduled = false;
-};
-
-}  // namespace detail
-
-/// Deterministic single-threaded execution context. Owns nodes and edges;
-/// `run()` pumps all sources and then drains edge queues in FIFO order,
-/// which supports cyclic graphs without unbounded recursion.
-class Flow {
- public:
-  /// Constructs a node in the flow and returns a reference to it.
-  template <typename Node, typename... Args>
-  Node& add(Args&&... args) {
-    auto node = std::make_unique<Node>(std::forward<Args>(args)...);
-    Node& ref = *node;
-    nodes_.push_back(std::move(node));
-    return ref;
-  }
-
-  /// Connects `from` to `to` with a FIFO queued channel.
-  template <typename T>
-  void connect(Outlet<T>& from, Consumer<T>& to,
-               EdgeKind kind = EdgeKind::kNormal) {
-    auto chan = std::make_unique<QueuedChannel<T>>(*this, to,
-                                                   kind == EdgeKind::kLoop);
-    from.subscribe(chan.get());
-    edges_.push_back(std::move(chan));
-  }
-
-  /// Node-aware connect, signature-compatible with ThreadedFlow so that
-  /// operator compositions can be wired identically on either runtime (the
-  /// single-threaded scheduler does not need the node references).
-  template <typename T>
-  void connect(NodeBase&, Outlet<T>& from, NodeBase&, Consumer<T>& to,
-               EdgeKind kind = EdgeKind::kNormal) {
-    connect(from, to, kind);
-  }
-
-  /// Node-group declaration, signature-compatible with ThreadedFlow (which
-  /// drives a group on one thread). This scheduler already runs every node
-  /// on one thread, so it ignores the declaration.
-  void group(const std::vector<NodeBase*>&) {}
-
-  /// Nodes/edges added so far, in add()/connect() order — the same stable
-  /// indices ThreadedFlow exposes, so builders (ShardedFlow) can record
-  /// which index ranges belong to which shard on either runtime.
-  std::size_t node_count() const { return nodes_.size(); }
-  std::size_t edge_count() const { return edges_.size(); }
-
-  /// Pumps all sources and drains the graph to quiescence.
-  /// `max_deliveries` guards against livelock in buggy cyclic graphs;
-  /// throws std::runtime_error when exceeded.
-  void run(std::size_t max_deliveries = kDefaultMaxDeliveries) {
-    for (auto& n : nodes_) n->pump();
-    drain(max_deliveries);
-  }
-
-  /// Drains already-enqueued work without pumping sources again.
-  void drain(std::size_t max_deliveries = kDefaultMaxDeliveries) {
-    std::size_t delivered = 0;
-    while (!pending_.empty()) {
-      detail::QueuedChannelBase* e = pending_.front();
-      pending_.pop_front();
-      e->deliver_one();
-      if (++delivered > max_deliveries) {
-        throw std::runtime_error(
-            "Flow::run exceeded max deliveries; cyclic graph not quiescing?");
-      }
-      if (!e->empty()) {
-        pending_.push_back(e);
-      } else {
-        e->scheduled = false;
-      }
-    }
-  }
-
-  static constexpr std::size_t kDefaultMaxDeliveries = 200'000'000;
-
- private:
-  template <typename T>
-  class QueuedChannel final : public Channel<T>,
-                              public detail::QueuedChannelBase {
-   public:
-    QueuedChannel(Flow& flow, Consumer<T>& target, bool loop)
-        : flow_(flow), target_(target), loop_(loop) {}
-
-    void push(Element<T>&& e) override {
-      queue_.push_back(std::move(e));
-      flow_.schedule(this);
-    }
-    bool loop() const override { return loop_; }
-
-    void deliver_one() override {
-      assert(!queue_.empty());
-      Element<T> e = std::move(queue_.front());
-      queue_.pop_front();
-      target_.receive(e);
-    }
-    bool empty() const override { return queue_.empty(); }
-
-   private:
-    Flow& flow_;
-    Consumer<T>& target_;
-    bool loop_;
-    std::deque<Element<T>> queue_;
-  };
-
-  void schedule(detail::QueuedChannelBase* e) {
-    if (!e->scheduled) {
-      e->scheduled = true;
-      pending_.push_back(e);
-    }
-  }
-
-  std::vector<std::unique_ptr<NodeBase>> nodes_;
-  std::vector<std::unique_ptr<detail::QueuedChannelBase>> edges_;
-  std::deque<detail::QueuedChannelBase*> pending_;
-};
 
 }  // namespace aggspes

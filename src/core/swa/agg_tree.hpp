@@ -236,11 +236,11 @@ class LatticeMonoidPolicy : public MonoidPolicyCore<In, Agg, Key> {
               std::uint64_t /*seq*/) {
     this->fold_into(c, t);
     auto kt = cache_.find(key);
-    if (kt != cache_.end() && kt->second.built) {
+    if (kt != cache_.end()) {
       // New or mutated pane: refresh its node from the authoritative cell
       // so the tree stays exact over all live panes. O(log P), whether the
       // arrival was in-order or late.
-      kt->second.tree.upsert(pane_l, Result{c.agg, c.count, c.stamp},
+      kt->second.upsert(pane_l, Result{c.agg, c.count, c.stamp},
                              this->combiner());
     }
   }
@@ -249,39 +249,43 @@ class LatticeMonoidPolicy : public MonoidPolicyCore<In, Agg, Key> {
   const Result& evaluate(const PaneMap& panes, const WindowSpec& spec,
                          const PaneGeometry&, Timestamp l, const Key& key,
                          bool /*sequential*/) {
-    KeyTree& kt = cache_[key];
-    if (!kt.built) {
-      kt.tree.clear();
+    auto [kt, fresh] = cache_.try_emplace(key);
+    AggTreap<Result>& tree = kt->second;
+    if (fresh) {
       for (const auto& [p, cells] : panes) {
         auto cell = cells.find(key);
         if (cell == cells.end()) continue;
-        kt.tree.upsert(p,
-                       Result{cell->second.agg, cell->second.count,
-                              cell->second.stamp},
-                       this->combiner());
+        tree.upsert(p,
+                    Result{cell->second.agg, cell->second.count,
+                           cell->second.stamp},
+                    this->combiner());
       }
-      kt.built = true;
       ++rebuilds_;
     }
-    this->result_ = kt.tree.range_fold_or(l, l + spec.size,
-                                          this->identity_result(),
-                                          this->combiner());
+    this->result_ = tree.range_fold_or(l, l + spec.size,
+                                       this->identity_result(),
+                                       this->combiner());
     return this->result_;
   }
 
-  /// Purge hook: drop the dead pane's node from every cached key
-  /// tree it appears in.
-  template <typename Cells>
-  void on_pane_purged(Timestamp p, const Cells& cells) {
+  /// Purge hook, before the oldest pane (panes.begin()) is erased: drop
+  /// its node from every cached key tree it appears in, and the tree of a
+  /// key that held no other live pane.
+  template <typename PaneMap>
+  void on_pane_purged(const PaneMap& panes) {
+    const auto& [p, cells] = *panes.begin();
     for (const auto& [key, cell] : cells) {
       auto kt = cache_.find(key);
-      if (kt != cache_.end() && kt->second.built) {
-        kt->second.tree.erase(p, this->combiner());
-      }
+      if (kt == cache_.end()) continue;
+      kt->second.erase(p, this->combiner());
+      if (kt->second.empty()) cache_.erase(kt);
     }
   }
 
   void reset() { cache_.clear(); }
+
+  /// Keys holding a cached tree: at most the keys of the open panes.
+  std::size_t cached_keys() const { return cache_.size(); }
 
   /// Full per-key tree builds since the last reset (first fire after
   /// construction or restore).
@@ -289,12 +293,8 @@ class LatticeMonoidPolicy : public MonoidPolicyCore<In, Agg, Key> {
   void reset_diagnostics() { rebuilds_ = 0; }
 
  private:
-  struct KeyTree {
-    AggTreap<Result> tree;  ///< one node per live pane holding this key
-    bool built{false};
-  };
-
-  std::unordered_map<Key, KeyTree> cache_;
+  /// Per key, one tree node per live pane holding the key.
+  std::unordered_map<Key, AggTreap<Result>> cache_;
   std::uint64_t rebuilds_{0};
 };
 

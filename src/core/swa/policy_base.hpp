@@ -22,6 +22,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <unordered_map>
 #include <utility>
 
@@ -216,11 +217,28 @@ class FifoMonoidPolicy : public MonoidPolicyCore<In, Agg, Key> {
     return this->result_;
   }
 
+  /// Purge hook, before the oldest pane (panes.begin()) is erased: a key
+  /// with a cell there and in no later pane loses its cache entry.
+  template <typename PaneMap>
+  void on_pane_purged(const PaneMap& panes) {
+    for (const auto& [key, cell] : panes.begin()->second) {
+      const auto holds_key = [&key](const auto& pane) {
+        return pane.second.find(key) != pane.second.end();
+      };
+      if (std::none_of(std::next(panes.begin()), panes.end(), holds_key)) {
+        cache_.erase(key);
+      }
+    }
+  }
+
   void reset() {
     cache_.clear();
     ++version_;
     frontier_ = kMinTimestamp;
   }
+
+  /// Keys holding a cached FIFO: at most the keys of the open panes.
+  std::size_t cached_keys() const { return cache_.size(); }
 
  private:
   /// Per-key sliding cache: one FIFO entry per pane in [from, to).

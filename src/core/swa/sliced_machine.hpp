@@ -732,10 +732,8 @@ class SlicedEngine {
       for (const auto& [key, cell] : panes_.begin()->second) {
         occupancy_ -= Policy::cell_count(cell);
       }
-      if constexpr (requires(Policy& pol) {
-                      pol.on_pane_purged(p, panes_.begin()->second);
-                    }) {
-        policy_.on_pane_purged(p, panes_.begin()->second);
+      if constexpr (requires(Policy& pol) { pol.on_pane_purged(panes_); }) {
+        policy_.on_pane_purged(panes_);  // p is still panes_.begin()
       }
       panes_.erase(panes_.begin());
     }

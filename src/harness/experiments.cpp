@@ -7,6 +7,7 @@
 #include "core/hashing.hpp"
 #include "core/operators/sink.hpp"
 #include "core/operators/source.hpp"
+#include "core/runtime/threaded_runtime.hpp"
 #include "workloads/scans.hpp"
 #include "workloads/wiki.hpp"
 

@@ -9,6 +9,7 @@
 
 #include "core/operators/sink.hpp"
 #include "core/operators/source.hpp"
+#include "core/runtime/threaded_runtime.hpp"
 
 namespace aggspes {
 namespace {

@@ -27,6 +27,7 @@
 #include "core/operators/aggregate_plus.hpp"
 #include "core/operators/sink.hpp"
 #include "core/operators/source.hpp"
+#include "core/runtime/threaded_runtime.hpp"
 #include "core/swa/sliced_machine.hpp"
 
 namespace aggspes {

@@ -1,16 +1,21 @@
-// Tests for the dataflow graph plumbing and the deterministic scheduler:
-// P1 (typed union), P2 (identical fan-out sequences), P3 (loops carry no
-// watermarks), and cycle handling.
+// Tests for the dataflow graph plumbing and the deterministic Flow, which
+// runs the group runner on the calling thread: P1 (typed union), P2
+// (identical fan-out sequences), P3 (loops carry no watermarks), cycle
+// handling, and how Flow fails (a node's error, a wedged graph).
 #include "core/graph.hpp"
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/operators/aggregate.hpp"
 #include "core/operators/sink.hpp"
 #include "core/operators/source.hpp"
 #include "core/operators/stateless.hpp"
+#include "core/runtime/threaded_runtime.hpp"
 
 namespace aggspes {
 namespace {
@@ -172,6 +177,80 @@ TEST(Flow, MapChangesTypeAndPreservesTimestamps) {
   EXPECT_EQ(sink.tuples()[0].ts, 0);
   EXPECT_EQ(sink.tuples()[1].value, "8");
   EXPECT_EQ(sink.tuples()[1].ts, 1);
+}
+
+TEST(Flow, NodeFailureNamesTheNode) {
+  Flow flow;
+  auto& src = flow.add<ScriptSource<int>>(ints_script({1, 2, 3}));
+  auto& map = flow.add<MapOp<int, int>>([](int v) {
+    if (v == 2) throw std::invalid_argument("bad value");
+    return v;
+  });
+  auto& sink = flow.add<CollectorSink<int>>();
+  flow.connect(src, src.out(), map, map.in());
+  flow.connect(map, map.out(), sink, sink.in());
+  try {
+    flow.run();
+    FAIL() << "the map's error must surface";
+  } catch (const FlowError& e) {
+    EXPECT_EQ(e.node_index(), 1u);
+    EXPECT_NE(std::string(e.what()).find("bad value"), std::string::npos);
+  }
+}
+
+// A 2-input Aggregate whose first input carries a checkpoint marker and
+// whose second neither does nor ends: the first edge holds for a barrier
+// that cannot align, the graph goes quiet short of its end, and run() says
+// so.
+TEST(Flow, WedgedGraphThrowsNamingTheHeldEdge) {
+  Flow flow;
+  auto& a = flow.add<ScriptSource<int>>(std::vector<Element<int>>{
+      Tuple<int>{0, 0, 1}, CheckpointMarker{1}, Tuple<int>{1, 0, 2},
+      Watermark{10}, EndOfStream{}});
+  auto& b = flow.add<ScriptSource<int>>(std::vector<Element<int>>{
+      Tuple<int>{0, 0, 3}, Watermark{10}});
+  auto& agg = flow.add<AggregateOp<int, int, int>>(
+      WindowSpec{.advance = 4, .size = 4, .lateness = 0},
+      [](const int&) { return 0; },
+      [](const WindowView<int, int>& w) -> std::optional<int> {
+        return static_cast<int>(w.items.size());
+      },
+      /*regular_inputs=*/2);
+  auto& sink = flow.add<CollectorSink<int>>();
+  flow.connect(a, a.out(), agg, agg.in(0));
+  flow.connect(b, b.out(), agg, agg.in(1));
+  flow.connect(agg, agg.out(), sink, sink.in());
+  try {
+    flow.run();
+    FAIL() << "a held edge at quiescence must fail the run";
+  } catch (const FlowError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("edge 0 is HELD"), std::string::npos) << what;
+    EXPECT_NE(what.find("[0] 0->2 depth=0 delivered=2 HELD"),
+              std::string::npos)
+        << what;
+  }
+  EXPECT_FALSE(sink.ended());
+}
+
+// An edge connected without its nodes cannot hold for a barrier, so a flow
+// with one takes no checkpoints or fault schedules.
+TEST(Flow, EdgeWithoutNodesRefusesCheckpointsAndFaults) {
+  Flow flow;
+  auto& src = flow.add<ScriptSource<int>>(ints_script({1}));
+  auto& sink = flow.add<CollectorSink<int>>();
+  flow.connect(src.out(), sink.in());
+  CheckpointStore store;
+  FaultInjector faults(1);
+  try {
+    flow.enable_checkpoints(store);
+    FAIL() << "enable_checkpoints must refuse";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("edge 0"), std::string::npos);
+  }
+  EXPECT_THROW(flow.install_faults(faults), std::logic_error);
+  flow.run();
+  EXPECT_TRUE(sink.ended());
 }
 
 TEST(TimedScript, EmitsC1CompliantWatermarks) {

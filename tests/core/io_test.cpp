@@ -9,6 +9,7 @@
 
 #include "core/operators/sink.hpp"
 #include "core/operators/stateless.hpp"
+#include "core/runtime/threaded_runtime.hpp"
 #include "workloads/codecs.hpp"
 
 namespace aggspes {

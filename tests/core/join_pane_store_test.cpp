@@ -20,6 +20,7 @@
 #include "core/operators/join_buffering.hpp"
 #include "core/operators/sink.hpp"
 #include "core/operators/window_machine.hpp"
+#include "core/runtime/threaded_runtime.hpp"
 #include "core/swa/late_probe.hpp"
 
 namespace aggspes {

@@ -11,6 +11,7 @@
 
 #include "core/operators/sink.hpp"
 #include "core/operators/source.hpp"
+#include "core/runtime/threaded_runtime.hpp"
 
 namespace aggspes {
 namespace {
@@ -148,6 +149,8 @@ TEST(Join, ComparisonCounterCountsProbes) {
 }
 
 TEST(Join, PurgedInstancesRejectLateTuples) {
+  // Assumes Flow's poll order: s1's edge (connected first) delivers its
+  // whole script before s2's, so [0, 10) is purged before s2's tuple.
   Flow flow;
   auto& s1 = flow.add<ScriptSource<Ev>>(std::vector<Element<Ev>>{
       Tuple<Ev>{1, 0, {1, 1}}, Watermark{20}, EndOfStream{}});

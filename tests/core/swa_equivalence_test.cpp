@@ -17,6 +17,7 @@
 #include "core/graph.hpp"
 #include "core/operators/sink.hpp"
 #include "core/operators/source.hpp"
+#include "core/runtime/threaded_runtime.hpp"
 #include "machine_matrix.hpp"
 
 namespace aggspes {

@@ -8,9 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <map>
 #include <utility>
 #include <vector>
+
+#include "core/swa/agg_tree.hpp"
+#include "core/swa/daba.hpp"
 
 namespace aggspes::swa {
 namespace {
@@ -328,6 +332,44 @@ TEST(MonoidMachine, NegativeTimestampsMatchBufferingInstanceMath) {
     }
   }
   EXPECT_EQ(got, naive);
+}
+
+// The monoid policies cache one entry per key they fire. A key whose last
+// pane is purged loses its entry, so a stream of ever-new keys keeps the
+// cache as small as the open panes: every key below arrives once, which
+// makes the stored tuple count (occupancy) the number of keys in them.
+template <typename M>
+class MonoidKeyCache : public ::testing::Test {};
+using CachingMachines =
+    ::testing::Types<MonoidWindowMachine<int, int, int>,
+                     DabaWindowMachine<int, int, int>,
+                     TreeWindowMachine<int, int, int>>;
+TYPED_TEST_SUITE(MonoidKeyCache, CachingMachines);
+
+TYPED_TEST(MonoidKeyCache, HoldsNoMoreKeysThanTheOpenPanes) {
+  constexpr int kKeys = 200'000;
+  constexpr int kPerTick = 10;
+  TypeParam m(WindowSpec{.advance = 10, .size = 20, .lateness = 0},
+              [](const int& v) { return v; }, sum_monoid<int>());
+  std::size_t fired = 0;
+  typename TypeParam::FireFn fire = [&](Timestamp, const int&,
+                                        const WindowAggregate<int>&,
+                                        bool) { ++fired; };
+  std::size_t peak = 0;
+  for (int i = 0; i < kKeys; ++i) {
+    const Timestamp ts = i / kPerTick;
+    if (i % kPerTick == 0) {
+      m.advance(ts - 1, fire);
+      ASSERT_LE(m.policy().cached_keys(), m.occupancy()) << "key " << i;
+      peak = std::max(peak, m.policy().cached_keys());
+    }
+    m.add(Tuple<int>{ts, 0, i}, ts - 1, fire);
+  }
+  m.advance(kKeys, fire);
+  EXPECT_EQ(fired, 2u * kKeys);  // each key in two instances
+  EXPECT_GT(peak, 0u);
+  EXPECT_EQ(m.policy().cached_keys(), 0u);
+  EXPECT_EQ(m.open_panes(), 0u);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "core/operators/sink.hpp"
 #include "core/operators/source.hpp"
 #include "core/recovery/snapshot.hpp"
+#include "core/runtime/threaded_runtime.hpp"
 #include "core/types.hpp"
 
 namespace aggspes {
@@ -42,6 +43,8 @@ struct Rig {
 // End to end through a Flow: two script sources, tuples merged, the
 // forwarded watermark is the min over ports.
 TEST(UnionOp, MergesTuplesAndMinCombinesWatermarks) {
+  // Assumes Flow's poll order: port 0's edge (connected first) delivers
+  // its whole script before port 1's, so port 0's 10 is never the minimum.
   Flow flow;
   auto& s1 = flow.add<ScriptSource<int>>(std::vector<Element<int>>{
       Tuple<int>{1, 0, 1}, Watermark{10}, Watermark{40}, EndOfStream{}});

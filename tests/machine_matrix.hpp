@@ -15,6 +15,7 @@
 #include "core/operators/aggregate.hpp"
 #include "core/operators/aggregate_eager.hpp"
 #include "core/operators/aggregate_plus.hpp"
+#include "core/runtime/threaded_runtime.hpp"
 #include "core/swa/daba.hpp"
 #include "core/swa/agg_tree.hpp"
 #include "core/swa/monoid_machine.hpp"

@@ -15,6 +15,7 @@
 #include "core/recovery/durable_source.hpp"
 #include "core/recovery/input_log.hpp"
 #include "core/recovery/replay_source.hpp"
+#include "core/runtime/threaded_runtime.hpp"
 
 namespace aggspes {
 namespace {

@@ -16,6 +16,7 @@
 
 #include "core/operators/join_buffering.hpp"
 #include "core/operators/sink.hpp"
+#include "core/runtime/threaded_runtime.hpp"
 
 namespace aggspes {
 namespace {

@@ -20,6 +20,7 @@
 #include "core/operators/sink.hpp"
 #include "core/operators/source.hpp"
 #include "core/runtime/multi_query.hpp"
+#include "core/runtime/threaded_runtime.hpp"
 #include "core/swa/agg_tree.hpp"
 #include "core/swa/monoid_machine.hpp"
 #include "core/swa/sliced_machine.hpp"
